@@ -7,8 +7,7 @@ grid in three configurations —
 
 - ``fast``    — float32, cross-op fusion *disabled* (the pre-fusion fast
   mode, kept as the in-snapshot baseline);
-- ``fused``   — float32 with :mod:`repro.nn.fusion` kernels and the
-  fused-regime conv dispatch;
+- ``fused``   — float32 with :mod:`repro.nn.fusion` kernels;
 - ``mixed``   — fused float32 compute with float64 master weights and
   dynamic loss scaling (``engine mode "mixed"``).
 

@@ -52,9 +52,8 @@ Rules enforced (each import must point *down* the stack):
     — any layer may build on the store, the store builds on nothing. And
     window slicing *routes through it*: the stride-trick primitives
     (``sliding_window_view`` / ``as_strided``) are banned outside
-    ``repro/store/`` (except ``repro.nn.ops``, whose conv kernels lower to
-    im2col with the same helpers), and ``repro.data.windows`` (the eager
-    compat shim) must import the store rather than re-deriving window math.
+    ``repro/store/``, and ``repro.data.windows`` (the eager compat shim)
+    must import the store rather than re-deriving window math.
 12. ``repro.serve.gateway`` is the HTTP edge: it speaks stdlib on one side
     and ``repro.serve`` on the other. Its ``repro`` imports must all live
     under ``repro.serve`` (observability surfaces are re-exported through
@@ -96,12 +95,9 @@ MODEL_LAYERS = {"core", "baselines"}
 # surfaces of its own package.
 NN_FUSION_ALLOWED = {"repro.nn.ops", "repro.nn.engine", "repro.nn.tensor"}
 # Rule 11: the window/feature store is a leaf package (stdlib + numpy only)
-# and owns the stride-trick *time-window* primitives. repro.nn.ops is the
-# one exemption: conv kernels lower to im2col via the same numpy helpers,
-# which is patch extraction inside a kernel, not supervised window slicing.
+# and the only owner of the stride-trick primitives.
 STORE_EXTERNAL_ALLOWED = {"numpy", "__future__"}
 STRIDE_TRICK_NAMES = {"sliding_window_view", "as_strided"}
-STRIDE_TRICK_EXEMPT_PREFIX = "repro.nn.ops"
 # Rule 12: the HTTP gateway is stdlib + repro.serve only.
 GATEWAY_MODULE = "repro.serve.gateway"
 # Rule 13: the online-adaptation loop touches training machinery only
@@ -226,7 +222,7 @@ def check(source_root: str = SOURCE_ROOT):
                             f"{location}: imports {external} "
                             "(repro.store allows only the stdlib and numpy)"
                         )
-            elif not module.startswith(STRIDE_TRICK_EXEMPT_PREFIX):
+            else:
                 # Rule 11b: stride-trick window primitives live in the store.
                 for name in sorted(_stride_trick_uses(path)):
                     violations.append(

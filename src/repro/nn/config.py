@@ -4,6 +4,9 @@ The substrate defaults to float64 so finite-difference gradient checks are
 reliable; callers that want speed over gradcheck-grade precision can switch
 to float32 via :func:`set_dtype` or the ``fast`` engine mode.
 
+Whether autograd records graphs is per thread (:func:`no_grad`); every
+other setting is process-wide.
+
 Engine knobs (all overridable by environment variables, read once at
 import) control the execution-plan layer in :mod:`repro.nn.engine`:
 
@@ -14,10 +17,6 @@ dtype                           ``REPRO_DTYPE`` (float32|float64)        float64
 engine mode                     ``REPRO_ENGINE`` (fast|precise|mixed)    precise
 intra-step worker threads       ``REPRO_NUM_THREADS``                    1
 cross-op fusion on/off          ``REPRO_FUSION`` (1|0)                   1
-FFT dispatch: kernel volume     ``REPRO_CONV_FFT_MIN_KERNEL_VOLUME``     48
-FFT dispatch: im2col elements   ``REPRO_CONV_FFT_MIN_IM2COL_ELEMENTS``   4,000,000
-FFT dispatch: fused f32 im2col  ``REPRO_CONV_FFT_MIN_IM2COL_FUSED``   10,000,000
-GEMM dispatch: im2col elements  ``REPRO_CONV_GEMM_MIN_ELEMENTS``         1,500,000
 plan cache on/off               ``REPRO_PLAN_CACHE`` (1|0)               1
 workspace arena on/off          ``REPRO_ARENA`` (1|0)                    1
 initial dynamic loss scale      ``REPRO_LOSS_SCALE``                     65536
@@ -25,14 +24,15 @@ loss-scale growth interval      ``REPRO_LOSS_SCALE_GROWTH_INTERVAL``     200
 minimum loss scale              ``REPRO_LOSS_SCALE_MIN``                 1.0
 =============================== ======================================== =========
 
-The conv dispatch defaults were recalibrated from ``bench_substrate`` runs
-on this machine (see docs/PERFORMANCE.md for the measurement table).
+Conv dispatch has no knob: :mod:`repro.nn.ops.conv` picks its strategy
+from the kernel volume alone (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import threading
 
 import numpy as np
 
@@ -53,15 +53,8 @@ def _env_flag(name: str, default: bool) -> bool:
 
 _DTYPE = np.float64
 _MIXED = False
-_GRAD_ENABLED = True
 _NUM_THREADS = max(1, _env_int("REPRO_NUM_THREADS", 1))
 _FUSION_ENABLED = _env_flag("REPRO_FUSION", True)
-_CONV_FFT_MIN_KERNEL_VOLUME = _env_int("REPRO_CONV_FFT_MIN_KERNEL_VOLUME", 48)
-_CONV_FFT_MIN_IM2COL_ELEMENTS = _env_int(
-    "REPRO_CONV_FFT_MIN_IM2COL_ELEMENTS", 4_000_000
-)
-_CONV_FFT_MIN_IM2COL_FUSED = _env_int("REPRO_CONV_FFT_MIN_IM2COL_FUSED", 10_000_000)
-_CONV_GEMM_MIN_ELEMENTS = _env_int("REPRO_CONV_GEMM_MIN_ELEMENTS", 1_500_000)
 _PLAN_CACHE_ENABLED = _env_flag("REPRO_PLAN_CACHE", True)
 _ARENA_ENABLED = _env_flag("REPRO_ARENA", True)
 _LOSS_SCALE_INIT = float(os.environ.get("REPRO_LOSS_SCALE", "") or 65536.0)
@@ -137,20 +130,31 @@ def use_dtype(new_dtype):
         _DTYPE = previous
 
 
+class _GradMode(threading.local):
+    # Class attribute: every thread starts with autograd on.
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
+
+
 def grad_enabled() -> bool:
-    """Return whether autograd graph construction is currently enabled."""
-    return _GRAD_ENABLED
+    """Return whether autograd graph construction is enabled on this thread."""
+    return _GRAD_MODE.enabled
 
 
 def set_grad_enabled(enabled: bool) -> None:
-    """Globally enable or disable autograd graph construction."""
-    global _GRAD_ENABLED
-    _GRAD_ENABLED = bool(enabled)
+    """Enable or disable autograd graph construction on this thread.
+
+    Per thread, so a serving thread inside :func:`no_grad` never switches
+    autograd off under a training step running on another thread.
+    """
+    _GRAD_MODE.enabled = bool(enabled)
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables autograd graph construction.
+    """Context manager that disables autograd graph construction on this thread.
 
     Useful for evaluation loops: forward passes run faster and allocate no
     backward closures.
@@ -164,7 +168,7 @@ def no_grad():
 
 
 # ---------------------------------------------------------------------------
-# Execution-engine knobs (consumed by repro.nn.engine and repro.nn.ops.conv)
+# Execution-engine knobs (consumed by repro.nn.engine and repro.nn.optim)
 # ---------------------------------------------------------------------------
 
 def num_threads() -> int:
@@ -188,55 +192,6 @@ def fusion_enabled() -> bool:
 def set_fusion_enabled(enabled: bool) -> None:
     global _FUSION_ENABLED
     _FUSION_ENABLED = bool(enabled)
-
-
-def conv_fft_min_kernel_volume() -> int:
-    return _CONV_FFT_MIN_KERNEL_VOLUME
-
-
-def conv_fft_min_im2col_elements() -> int:
-    return _CONV_FFT_MIN_IM2COL_ELEMENTS
-
-
-def conv_fft_min_im2col_fused() -> int:
-    """Fused-regime float32 FFT threshold (im2col elements).
-
-    When fusion is enabled and the compute dtype is float32, the conv
-    planner ranks paths purely by im2col volume (ignoring the legacy
-    kernel-volume rule that forces small-grid pyramid convs onto FFT).
-    Measured on this machine with ``benchmarks/bench_model.py``: GEMM wins
-    up to roughly 10M im2col elements for BikeCAP's kernel shapes — a
-    threshold near the crossover beats both the legacy dispatch and an
-    aggressively early FFT switch (which regresses paper-sized grids ~30%).
-    """
-    return _CONV_FFT_MIN_IM2COL_FUSED
-
-
-def conv_gemm_min_elements() -> int:
-    return _CONV_GEMM_MIN_ELEMENTS
-
-
-def set_conv_dispatch_thresholds(
-    fft_min_kernel_volume: int = None,
-    fft_min_im2col_elements: int = None,
-    gemm_min_elements: int = None,
-    fft_min_im2col_fused: int = None,
-) -> None:
-    """Override the conv dispatch thresholds (None keeps the current value)."""
-    global _CONV_FFT_MIN_KERNEL_VOLUME, _CONV_FFT_MIN_IM2COL_ELEMENTS
-    global _CONV_GEMM_MIN_ELEMENTS, _CONV_FFT_MIN_IM2COL_FUSED
-    if fft_min_kernel_volume is not None:
-        _CONV_FFT_MIN_KERNEL_VOLUME = int(fft_min_kernel_volume)
-    if fft_min_im2col_elements is not None:
-        _CONV_FFT_MIN_IM2COL_ELEMENTS = int(fft_min_im2col_elements)
-    if gemm_min_elements is not None:
-        _CONV_GEMM_MIN_ELEMENTS = int(gemm_min_elements)
-    if fft_min_im2col_fused is not None:
-        _CONV_FFT_MIN_IM2COL_FUSED = int(fft_min_im2col_fused)
-    # Cached dispatch decisions were made under the old thresholds.
-    from repro.nn import engine
-
-    engine.clear_caches()
 
 
 def loss_scale_init() -> float:

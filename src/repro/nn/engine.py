@@ -4,9 +4,10 @@ Every experiment in this reproduction funnels through the same handful of
 numpy kernels, and training repeats them thousands of times on identical
 shapes. This module reuses the work that is invariant across those calls:
 
-- **Plan cache** — conv dispatch decisions (einsum vs. GEMM vs. FFT) and
-  ``np.einsum`` contraction paths, keyed by shape/dtype signatures. Looked
-  up once per signature, hit thereafter (``engine_plan_cache_*`` counters).
+- **Plan cache** — ``np.einsum`` contraction paths, keyed by shape/dtype
+  signatures. Looked up once per signature, hit thereafter
+  (``engine_plan_cache_*`` counters). Conv dispatch needs no cache: it is
+  one comparison on the kernel shape (:mod:`repro.nn.ops.conv`).
 - **Weight-derived caches** — the precomputed kernel FFT and the masked
   effective weight (pyramid gating) are invariant while the weights are
   unchanged; entries are keyed by the weight array's identity plus a global
@@ -45,12 +46,6 @@ import numpy as np
 from repro.nn import config
 from repro.obs import metrics as obs_metrics
 
-# Conv execution strategies the planner can choose from.
-PLAN_EINSUM = "einsum"
-PLAN_GEMM = "gemm"
-PLAN_FFT = "fft"
-
-
 # ---------------------------------------------------------------------------
 # Cache-coherency state
 # ---------------------------------------------------------------------------
@@ -87,8 +82,8 @@ def no_cache():
 
     Required around code that mutates parameter data in place without an
     optimizer step — the finite-difference gradcheck is the canonical user.
-    Pure shape-keyed plans (dispatch decisions, einsum paths) stay active;
-    they are functions of the signature alone and cannot go stale. Fused
+    Pure shape-keyed plans (einsum paths) stay active; they are functions
+    of the signature alone and cannot go stale. Fused
     kernels (:mod:`repro.nn.fusion`) are also disabled inside the block:
     although bit-equivalent by construction, the bypass guarantees the
     gradcheck exercises the exact unfused op graph it differentiates.
@@ -110,11 +105,10 @@ def fusion_active() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Plan cache: conv dispatch + einsum contraction paths
+# Plan cache: einsum contraction paths and fused-kernel plans
 # ---------------------------------------------------------------------------
 
 _plan_lock = threading.Lock()
-_conv_plans: Dict[Tuple, str] = {}
 _einsum_paths: Dict[Tuple, list] = {}
 _fused_plans: Dict[Tuple, object] = {}
 
@@ -147,111 +141,6 @@ def fused_plan(key: Tuple, builder: Callable[[], object]):
     with _plan_lock:
         _fused_plans[key] = plan
     obs_metrics.counter("engine_fusion_cache_misses_total", kind=key[0]).inc()
-    return plan
-
-
-def _fused_regime(dtype) -> bool:
-    """Whether the aggressive fused-regime float32 dispatch rule applies.
-
-    The recalibrated FFT threshold ships with the fusion work and is gated
-    on the same knob, so ``REPRO_FUSION=0`` reproduces the exact pre-fusion
-    execution plans (the bench baseline and the bit-parity reference).
-    """
-    return np.dtype(dtype).itemsize == 4 and config.fusion_enabled()
-
-
-def _choose_conv_forward_plan(
-    batch: int, channels: int, out_spatial, kernel, dtype
-) -> str:
-    """Pick the conv forward strategy for one signature.
-
-    Calibrated on this machine (docs/PERFORMANCE.md): FFT wins for big
-    kernels or very large im2col footprints in either dtype. The
-    im2col+GEMM path beats einsum only for *flat* (depth-1) kernels — the
-    2-D convs routed through the 3-D path, e.g. the routing vote transform —
-    in float64 above ~1.5M im2col elements; for deep kernels einsum's
-    blocked reduction over the strided view beats paying for the column
-    copy, and float32 einsum is SIMD-friendly enough that GEMM never pays
-    for itself below the FFT threshold.
-    """
-    kernel_volume = int(np.prod(kernel))
-    if kernel_volume >= config.conv_fft_min_kernel_volume():
-        return PLAN_FFT
-    im2col_elements = batch * channels * int(np.prod(out_spatial)) * kernel_volume
-    if im2col_elements >= config.conv_fft_min_im2col_elements():
-        return PLAN_FFT
-    if _fused_regime(dtype) and im2col_elements >= config.conv_fft_min_im2col_fused():
-        return PLAN_FFT
-    if (
-        tuple(kernel)[0] == 1
-        and np.dtype(dtype).itemsize == 8
-        and im2col_elements >= config.conv_gemm_min_elements()
-    ):
-        return PLAN_GEMM
-    return PLAN_EINSUM
-
-
-def _choose_conv_weight_grad_plan(
-    batch: int, channels: int, out_spatial, kernel, dtype
-) -> str:
-    """Weight-grad strategy: FFT thresholds as before, GEMM otherwise.
-
-    The weight-grad contraction reduces over the huge (batch × output
-    positions) axis into a tiny kernel — a tall-skinny GEMM that BLAS wins
-    at every calibrated size in both dtypes, so there is no einsum branch.
-    """
-    kernel_volume = int(np.prod(kernel))
-    if kernel_volume >= config.conv_fft_min_kernel_volume():
-        return PLAN_FFT
-    im2col_elements = batch * channels * int(np.prod(out_spatial)) * kernel_volume
-    if im2col_elements >= config.conv_fft_min_im2col_elements():
-        return PLAN_FFT
-    if _fused_regime(dtype) and im2col_elements >= config.conv_fft_min_im2col_fused():
-        return PLAN_FFT
-    return PLAN_GEMM
-
-
-def conv_forward_plan(batch, channels, out_spatial, kernel, dtype) -> str:
-    key = (
-        "conv_fwd",
-        batch,
-        channels,
-        tuple(out_spatial),
-        tuple(kernel),
-        np.dtype(dtype).str,
-        _fused_regime(dtype),
-    )
-    with _plan_lock:
-        plan = _conv_plans.get(key)
-    if plan is not None:
-        _plan_hit("conv_forward")
-        return plan
-    plan = _choose_conv_forward_plan(batch, channels, out_spatial, kernel, dtype)
-    with _plan_lock:
-        _conv_plans[key] = plan
-    _plan_miss("conv_forward")
-    return plan
-
-
-def conv_weight_grad_plan(batch, channels, out_spatial, kernel, dtype) -> str:
-    key = (
-        "conv_wgrad",
-        batch,
-        channels,
-        tuple(out_spatial),
-        tuple(kernel),
-        np.dtype(dtype).str,
-        _fused_regime(dtype),
-    )
-    with _plan_lock:
-        plan = _conv_plans.get(key)
-    if plan is not None:
-        _plan_hit("conv_weight_grad")
-        return plan
-    plan = _choose_conv_weight_grad_plan(batch, channels, out_spatial, kernel, dtype)
-    with _plan_lock:
-        _conv_plans[key] = plan
-    _plan_miss("conv_weight_grad")
     return plan
 
 
@@ -356,7 +245,6 @@ def masked_weight(w: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def clear_caches() -> None:
     """Drop every cached plan and weight-derived entry (tests, benchmarks)."""
     with _plan_lock:
-        _conv_plans.clear()
         _einsum_paths.clear()
         _fused_plans.clear()
     _kernel_fft_cache.clear()
@@ -382,7 +270,6 @@ def plan_cache_stats() -> Dict[str, object]:
     """
     with _plan_lock:
         entries = {
-            "conv_plans": len(_conv_plans),
             "einsum_paths": len(_einsum_paths),
             "fused_kernels": len(_fused_plans),
         }
@@ -433,8 +320,8 @@ def warmup(
     in this module is keyed by the *full* shape signature — batch included —
     so a service must warm each batch size it will actually serve (e.g. 1
     and its micro-batch cap), or the first real request at that size pays
-    for conv dispatch planning, einsum path search and kernel-FFT
-    construction. Returns the number of forward calls made.
+    for einsum path search and kernel-FFT construction. Returns the number
+    of forward calls made.
     """
     dtype = np.dtype(dtype if dtype is not None else config.dtype())
     calls = 0

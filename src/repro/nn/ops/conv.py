@@ -2,38 +2,32 @@
 
 Implementation strategy
 -----------------------
-The forward pass extracts sliding windows with
-``np.lib.stride_tricks.sliding_window_view`` (views, no copy) and contracts
-them against the kernel. The input gradient is computed *exactly* as the
-adjoint: zero-stuff the output gradient by the stride, full-pad, and
-convolve with the spatially-flipped, channel-swapped kernel. Transposed
-convolution is literally the adjoint operator, so its forward reuses the
-input-gradient kernel and its backward reuses the forward convolution — one
-fully-vectorized code path, verified by finite differences.
+Every kernel works channels-first on the padded input and computes exact
+adjoints: the input gradient is the transpose of the forward operator, and
+transposed convolution is literally that adjoint, so its forward reuses the
+input-gradient kernel and its backward reuses the forward convolution —
+verified by finite differences.
 
-Execution plans
----------------
-Each kernel call is dispatched by :mod:`repro.nn.engine` to one of three
-exact strategies, chosen per shape/dtype signature and cached:
-
-- ``einsum`` — contract the sliding-window view directly; fastest for
-  small contractions and for float32 generally.
-- ``gemm`` — materialize the im2col copy once and hand BLAS a single
-  matrix product; wins for float64 above ~1.5M im2col elements on the
-  forward, and for the weight gradient (a tall-skinny reduction) at every
-  calibrated size.
-- ``fft`` — frequency-domain convolution via ``scipy.fft``; cost scales
-  with the *input* volume only, so it wins for big kernels or very large
-  im2col footprints. Kernel FFTs are cached across calls while the weights
-  are unchanged, and the padded-input FFT computed on the forward pass is
+Two strategies, chosen from the kernel volume alone
+---------------------------------------------------
+- **direct** (volume < ``FFT_MIN_KERNEL_VOLUME`` = 48): plain slicing plus
+  one ``np.matmul`` per sample. Each direction expands only the operand
+  with fewer channels by the kernel taps. The forward is im2col then GEMM
+  when ``C_in ≤ C_out``, otherwise GEMM then a shifted-plane add. The
+  input gradient is GEMM then col2im when ``C_in ≤ C_out``, otherwise the
+  forward of the zero-stuffed gradient with the flipped kernel, padded
+  only as far as the unpadded input needs. The weight gradient reuses the
+  im2col columns the forward captured.
+- **fft** (volume ≥ 48, i.e. the pyramid kernels): frequency-domain
+  convolution via ``scipy.fft``, whose cost scales with the *input* volume
+  only. Kernel FFTs are cached across calls while the weights are
+  unchanged, and the padded-input FFT computed on the forward pass is
   reused by the weight gradient of the same op.
 
-Dispatch thresholds live in :mod:`repro.nn.config`
-(``REPRO_CONV_FFT_MIN_KERNEL_VOLUME``, ``REPRO_CONV_FFT_MIN_IM2COL_ELEMENTS``,
-``REPRO_CONV_GEMM_MIN_ELEMENTS``); calibration numbers are tabulated in
-docs/PERFORMANCE.md. Large transients (padded inputs, stride-stuffed
-gradients, im2col columns) come from the engine's workspace arena instead
-of fresh allocations.
+Padded inputs, stride-stuffed gradients and the im2col columns a forward
+captures come from the engine's workspace arena instead of fresh
+allocations; the direct kernels' other transients are bounded by walking
+the batch in chunks.
 
 Data layout is channels-first: ``(N, C, D, H, W)`` for 3-D and
 ``(N, C, H, W)`` for 2-D. 3-D kernels are ``(C_out, C_in, kD, kH, kW)``;
@@ -45,7 +39,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn import config, engine
 from repro.nn.tensor import Tensor, as_tensor, make_op
@@ -108,8 +101,29 @@ def conv_output_size(size: int, kernel: int, stride: int, before: int, after: in
 # Low-level numpy kernels (no autograd)
 # ---------------------------------------------------------------------------
 
+# Kernels with at least this many taps take the FFT path, all others the
+# direct path. The pyramid kernels (5×9×9 = 405, 4×7×7 = 196) sit far above
+# it; every other conv in the repository (3×3×3 = 27, 1×3×3, 1×1×1, the
+# 5×3×3 = 45 cube of the no-pyramid ablation) sits below.
+FFT_MIN_KERNEL_VOLUME = 48
+
+
+def _use_fft(kernel) -> bool:
+    return int(np.prod(kernel)) >= FFT_MIN_KERNEL_VOLUME
+
+
 def _pad5(x: np.ndarray, pads: _Pads) -> Tuple[np.ndarray, bool]:
-    """Pad into an arena buffer; returns ``(padded, borrowed)``."""
+    """Pad the spatial axes into an arena buffer; returns ``(padded, borrowed)``.
+
+    A negative entry crops that many planes instead (the tight padding of
+    :func:`conv3d_input_grad` can ask for it when a pad exceeds kernel − 1).
+    """
+    if any(p < 0 for pair in pads for p in pair):
+        x = x[(slice(None), slice(None)) + tuple(
+            slice(max(-before, 0), x.shape[2 + i] - max(-after, 0))
+            for i, (before, after) in enumerate(pads)
+        )]
+        pads = tuple((max(before, 0), max(after, 0)) for before, after in pads)
     if all(p == (0, 0) for p in pads):
         return x, False
     shape = x.shape[:2] + tuple(
@@ -121,15 +135,6 @@ def _pad5(x: np.ndarray, pads: _Pads) -> Tuple[np.ndarray, bool]:
     )
     buffer[interior] = x
     return buffer, True
-
-
-def _prefer_fft(batch: int, channels: int, out_spatial, kernel) -> bool:
-    """Legacy predicate: does this signature take the frequency-domain path?"""
-    kernel_volume = int(np.prod(kernel))
-    if kernel_volume >= config.conv_fft_min_kernel_volume():
-        return True
-    im2col_elements = batch * channels * int(np.prod(out_spatial)) * kernel_volume
-    return im2col_elements >= config.conv_fft_min_im2col_elements()
 
 
 def _view_identity(arr: np.ndarray) -> Tuple:
@@ -231,83 +236,139 @@ def _conv3d_weight_grad_fft(
     return np.ascontiguousarray(corr[:, :, :kd, :kh, :kw])
 
 
-def _im2col(
-    xp: np.ndarray, kernel: Tuple[int, ...], stride, out_spatial
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Materialize the (N·positions, C·kernel) column matrix for BLAS.
+def _tap_windows(kernel, stride, out_spatial) -> list:
+    """Per kernel tap (C order), the strided slice of the padded input that
+    the tap reads across all output positions."""
+    return [
+        (slice(None), slice(None)) + tuple(
+            slice(offset, offset + step * (size - 1) + 1, step)
+            for offset, step, size in zip(tap, stride, out_spatial)
+        )
+        for tap in np.ndindex(*kernel)
+    ]
 
-    Returns ``(columns, buffer)`` — ``columns`` is a 2-D view of ``buffer``,
-    which the caller must release back to the arena (unless it escapes).
+
+# The direct kernels walk the batch in chunks whose tap-expanded operand is
+# about this size: it stays in cache between the copy and the GEMM, and no
+# transient grows with the batch.
+_CHUNK_BYTES = 1 << 21
+
+
+def _sample_chunks(batch: int, expanded_per_sample: int, itemsize: int) -> list:
+    step = max(1, _CHUNK_BYTES // (expanded_per_sample * itemsize))
+    return [slice(start, start + step) for start in range(0, batch, step)]
+
+
+def _im2col(xp: np.ndarray, windows, out_spatial, out: Optional[np.ndarray] = None):
+    """Channels-first columns ``(n, C·taps, positions)`` of a padded input."""
+    batch, channels = xp.shape[:2]
+    if out is None:
+        out = np.empty(
+            (batch, channels * len(windows), int(np.prod(out_spatial))), xp.dtype
+        )
+    planes = out.reshape((batch, channels, len(windows)) + tuple(out_spatial))
+    for tap, window in enumerate(windows):
+        planes[:, :, tap] = xp[window]
+    return out
+
+
+def _conv3d_forward_direct(
+    xp: np.ndarray, w: np.ndarray, stride, capture: Optional[dict] = None
+) -> np.ndarray:
+    """Valid 3-D cross-correlation with per-sample GEMMs.
+
+    Only the side with fewer channels is expanded by the kernel taps: the
+    input into im2col columns when ``C_in ≤ C_out`` (handed to ``capture``
+    for the weight gradient), otherwise the GEMM output, one plane per tap
+    over the padded grid, which shifted-plane adds then reduce.
     """
-    windows = sliding_window_view(xp, kernel, axis=(2, 3, 4))
-    windows = windows[:, :, :: stride[0], :: stride[1], :: stride[2]]
-    batch, channels = xp.shape[0], xp.shape[1]
-    positions = int(np.prod(out_spatial))
-    kernel_volume = int(np.prod(kernel))
-    buffer = engine.arena_empty(
-        (batch,) + tuple(out_spatial) + (channels,) + tuple(kernel), xp.dtype
+    c_out, c_in = w.shape[:2]
+    kernel = w.shape[2:]
+    batch = xp.shape[0]
+    out_spatial = tuple(
+        (xp.shape[2 + i] - kernel[i]) // stride[i] + 1 for i in range(3)
     )
-    np.copyto(buffer, windows.transpose(0, 2, 3, 4, 1, 5, 6, 7))
-    return buffer.reshape(batch * positions, channels * kernel_volume), buffer
+    taps = int(np.prod(kernel))
+    windows = _tap_windows(kernel, stride, out_spatial)
+    dtype = np.result_type(xp, w)
+    if c_in <= c_out:
+        positions = int(np.prod(out_spatial))
+        out = np.empty((batch, c_out, positions), dtype)
+        cols = None
+        if capture is not None:
+            # The weight gradient consumes these and returns them to the arena.
+            cols = capture["cols"] = engine.arena_empty(
+                (batch, c_in * taps, positions), xp.dtype
+            )
+        w_rows = w.reshape(c_out, -1)
+        for chunk in _sample_chunks(batch, c_in * taps * positions, xp.itemsize):
+            block = _im2col(
+                xp[chunk], windows, out_spatial, None if cols is None else cols[chunk]
+            )
+            np.matmul(w_rows, block, out=out[chunk])
+        return out.reshape((batch, c_out) + out_spatial)
+    padded_positions = int(np.prod(xp.shape[2:]))
+    tap_weights = w.reshape(c_out, c_in, taps).transpose(2, 0, 1).reshape(-1, c_in)
+    out = np.empty((batch, c_out) + out_spatial, dtype)
+    for chunk in _sample_chunks(batch, taps * c_out * padded_positions, xp.itemsize):
+        block = out[chunk]
+        planes = np.matmul(
+            tap_weights, xp[chunk].reshape(-1, c_in, padded_positions)
+        ).reshape((-1, taps, c_out) + xp.shape[2:])
+        np.copyto(block, planes[:, 0][windows[0]])
+        for tap in range(1, taps):
+            block += planes[:, tap][windows[tap]]
+    return out
 
 
-def _conv3d_forward_gemm(
-    xp: np.ndarray, w: np.ndarray, stride, out_spatial, capture: Optional[dict] = None
+def _gemm_weight_grad(gout: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``Σ_n gout[n] · cols[n]ᵀ``: the ``(C_out, C_in·taps)`` kernel gradient."""
+    batch, c_out = gout.shape[:2]
+    return np.matmul(
+        gout.reshape(batch, c_out, -1), cols.transpose(0, 2, 1)
+    ).sum(axis=0)
+
+
+def _col2im_input_grad(
+    gout: np.ndarray, w: np.ndarray, x_spatial, stride, pads: _Pads
 ) -> np.ndarray:
-    batch, c_out = xp.shape[0], w.shape[0]
-    cols, buffer = _im2col(xp, w.shape[2:], stride, out_spatial)
-    flat = cols @ np.ascontiguousarray(w.reshape(c_out, -1).T)
-    if capture is not None:
-        # The weight gradient contracts the identical column matrix against
-        # the output gradient; hand it over instead of rebuilding it. The
-        # buffer now escapes the call, so it must NOT go back to the arena.
-        capture["cols"] = cols
-    else:
-        engine.arena_release(buffer)
-    out = flat.reshape((batch,) + tuple(out_spatial) + (c_out,))
-    return np.ascontiguousarray(out.transpose(0, 4, 1, 2, 3))
-
-
-def _conv3d_weight_grad_gemm(
-    xp: np.ndarray,
-    gout: np.ndarray,
-    kernel_size,
-    stride,
-    cols: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    c_out = gout.shape[1]
-    c_in = xp.shape[1]
-    buffer = None
-    if cols is None:
-        cols, buffer = _im2col(xp, tuple(kernel_size), stride, gout.shape[2:])
-    gm = gout.transpose(1, 0, 2, 3, 4).reshape(c_out, -1)
-    grad = gm @ cols
-    if buffer is not None:
-        engine.arena_release(buffer)
-    return grad.reshape((c_out, c_in) + tuple(kernel_size))
+    """Input gradient as GEMM then col2im: the adjoint of im2col + GEMM."""
+    c_out, c_in = w.shape[:2]
+    kernel = w.shape[2:]
+    batch = gout.shape[0]
+    out_spatial = gout.shape[2:]
+    taps = int(np.prod(kernel))
+    windows = _tap_windows(kernel, stride, out_spatial)
+    padded = tuple(x_spatial[i] + pads[i][0] + pads[i][1] for i in range(3))
+    grad = np.zeros((batch, c_in) + padded, np.result_type(gout, w))
+    w_cols = w.reshape(c_out, -1).T
+    flat = gout.reshape(batch, c_out, -1)
+    for chunk in _sample_chunks(batch, c_in * taps * flat.shape[2], grad.itemsize):
+        block = grad[chunk]
+        planes = np.matmul(w_cols, flat[chunk]).reshape(
+            (-1, c_in, taps) + tuple(out_spatial)
+        )
+        for tap, window in enumerate(windows):
+            block[window] += planes[:, :, tap]
+    return grad[(slice(None), slice(None)) + tuple(
+        slice(pads[i][0], pads[i][0] + x_spatial[i]) for i in range(3)
+    )]
 
 
 def conv3d_forward(
     x: np.ndarray, w: np.ndarray, stride, pads: _Pads, _capture: Optional[dict] = None
 ) -> np.ndarray:
-    """Plain 3-D cross-correlation. x:(N,C,D,H,W), w:(O,C,kd,kh,kw)."""
+    """Plain 3-D cross-correlation. x:(N,C,D,H,W), w:(O,C,kd,kh,kw).
+
+    ``_capture`` (optional) receives the intermediates the weight gradient
+    reuses: the padded-input FFT (``fx``) or the im2col columns (``cols``).
+    """
     stride = tuple(stride)
-    out_spatial = tuple(
-        (x.shape[2 + i] + pads[i][0] + pads[i][1] - w.shape[2 + i]) // stride[i] + 1
-        for i in range(3)
-    )
-    plan = engine.conv_forward_plan(
-        x.shape[0], x.shape[1], out_spatial, w.shape[2:], x.dtype
-    )
     xp, borrowed = _pad5(x, pads)
-    if plan == engine.PLAN_FFT:
+    if _use_fft(w.shape[2:]):
         out = _conv3d_forward_fft(xp, w, stride, capture=_capture)
-    elif plan == engine.PLAN_GEMM:
-        out = _conv3d_forward_gemm(xp, w, stride, out_spatial, capture=_capture)
     else:
-        windows = sliding_window_view(xp, w.shape[2:], axis=(2, 3, 4))
-        windows = windows[:, :, :: stride[0], :: stride[1], :: stride[2]]
-        out = engine.einsum("ncdhwijk,ocijk->nodhw", windows, w)
+        out = _conv3d_forward_direct(xp, w, stride, capture=_capture)
     if borrowed:
         engine.arena_release(xp)
     return out
@@ -329,14 +390,11 @@ def conv3d_weight_grad(
     """
     stride = tuple(stride)
     kernel_size = tuple(kernel_size)
-    plan = engine.conv_weight_grad_plan(
-        x.shape[0], x.shape[1], gout.shape[2:], kernel_size, x.dtype
-    )
     captured = _captured or {}
-    padded_spatial = tuple(
-        x.shape[2 + i] + pads[i][0] + pads[i][1] for i in range(3)
-    )
-    if plan == engine.PLAN_FFT:
+    if _use_fft(kernel_size):
+        padded_spatial = tuple(
+            x.shape[2 + i] + pads[i][0] + pads[i][1] for i in range(3)
+        )
         fx = captured.get("fx")
         if fx is not None and captured.get("fx_spatial") == padded_spatial:
             return _conv3d_weight_grad_fft(
@@ -347,46 +405,61 @@ def conv3d_weight_grad(
         if borrowed:
             engine.arena_release(xp)
         return grad
-    cols = captured.get("cols")
+    grad_shape = (gout.shape[1], -1) + kernel_size
+    # Popped, so a second backward through the same graph rebuilds them.
+    cols = captured.pop("cols", None)
     if cols is not None:
-        return _conv3d_weight_grad_gemm(x, gout, kernel_size, stride, cols=cols)
+        grad = _gemm_weight_grad(gout, cols)
+        engine.arena_release(cols)
+        return grad.reshape(grad_shape)
     xp, borrowed = _pad5(x, pads)
-    grad = _conv3d_weight_grad_gemm(xp, gout, kernel_size, stride)
+    out_spatial = gout.shape[2:]
+    windows = _tap_windows(kernel_size, stride, out_spatial)
+    expanded = x.shape[1] * len(windows) * int(np.prod(out_spatial))
+    grad = sum(
+        _gemm_weight_grad(gout[chunk], _im2col(xp[chunk], windows, out_spatial))
+        for chunk in _sample_chunks(x.shape[0], expanded, xp.itemsize)
+    )
     if borrowed:
         engine.arena_release(xp)
-    return grad
+    return grad.reshape(grad_shape)
 
 
 def conv3d_input_grad(
-    gout: np.ndarray, w: np.ndarray, x_spatial, stride, pads: _Pads
+    gout: np.ndarray,
+    w: np.ndarray,
+    x_spatial,
+    stride,
+    pads: _Pads,
+    _capture: Optional[dict] = None,
 ) -> np.ndarray:
     """Gradient of conv3d w.r.t. its input (the adjoint convolution).
 
     ``x_spatial`` is the (D, H, W) of the *unpadded* input whose gradient is
     required; this also serves as the forward pass of transposed convolution.
+    With ``C_in ≤ C_out`` on the direct path it is GEMM then col2im;
+    otherwise it is the forward convolution of the zero-stuffed gradient with
+    the flipped, channel-swapped kernel, padded exactly as far as the
+    unpadded input region needs. ``_capture`` goes to that forward.
     """
     stride = tuple(stride)
     kernel = w.shape[2:]
-    out_spatial = gout.shape[2:]
-
-    padded = [x_spatial[i] + pads[i][0] + pads[i][1] for i in range(3)]
-    stuffed, stuffed_borrowed = _stuff_stride(gout, stride)
-
-    full_pads = []
     for i in range(3):
-        remainder = padded[i] - ((out_spatial[i] - 1) * stride[i] + kernel[i])
-        if remainder < 0:
+        padded = x_spatial[i] + pads[i][0] + pads[i][1]
+        if padded < (gout.shape[2 + i] - 1) * stride[i] + kernel[i]:
             raise ValueError("inconsistent shapes for conv3d_input_grad")
-        full_pads.append((kernel[i] - 1, kernel[i] - 1 + remainder))
-
+    if not _use_fft(kernel) and w.shape[1] <= w.shape[0]:
+        return _col2im_input_grad(gout, w, x_spatial, stride, pads)
+    stuffed, stuffed_borrowed = _stuff_stride(gout, stride)
+    tight_pads = tuple(
+        (kernel[i] - 1 - pads[i][0], pads[i][0] + x_spatial[i] - stuffed.shape[2 + i])
+        for i in range(3)
+    )
     flipped = np.flip(w, axis=(2, 3, 4)).transpose(1, 0, 2, 3, 4)  # (C_in, C_out, k)
-    grad_padded = conv3d_forward(stuffed, flipped, (1, 1, 1), tuple(full_pads))
+    grad = conv3d_forward(stuffed, flipped, (1, 1, 1), tight_pads, _capture=_capture)
     if stuffed_borrowed:
         engine.arena_release(stuffed)
-    slices = tuple(
-        slice(pads[i][0], pads[i][0] + x_spatial[i]) for i in range(3)
-    )
-    return grad_padded[:, :, slices[0], slices[1], slices[2]]
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -472,18 +545,36 @@ def conv_transpose3d(
 
     # The transpose's forward is the input-gradient of a conv whose weight is
     # w viewed as (O=C_in, C=C_out, k...) and whose input has out_spatial.
-    data = conv3d_input_grad(x.data, w.data, out_spatial, stride3, pads)
+    # With C_in < C_out on the direct path that is a flipped-kernel forward
+    # whose im2col columns of x (the narrow side) the weight gradient reuses.
+    kernel = w.shape[2:]
+    capture: Optional[dict] = (
+        {} if config.grad_enabled() and w.requires_grad and not _use_fft(kernel) else None
+    )
+    data = conv3d_input_grad(x.data, w.data, out_spatial, stride3, pads, _capture=capture)
     if b is not None:
         data = data + b.data[None, :, None, None, None]
 
-    kernel = w.shape[2:]
-
     def backward(grad):
         gx = gw = gb = None
+        grad_capture: Optional[dict] = {} if w.requires_grad else None
         if x.requires_grad:
-            gx = conv3d_forward(grad, w.data, stride3, pads)
+            gx = conv3d_forward(grad, w.data, stride3, pads, _capture=grad_capture)
         if w.requires_grad:
-            gw = conv3d_weight_grad(grad, x.data, kernel, stride3, pads)
+            cols = capture.pop("cols", None) if capture else None
+            if cols is not None:
+                # The flipped-kernel forward's weight gradient, flipped back.
+                flipped = _gemm_weight_grad(grad, cols).reshape(
+                    (grad.shape[1], -1) + kernel
+                )
+                engine.arena_release(cols)
+                gw = np.ascontiguousarray(
+                    np.flip(flipped, axis=(2, 3, 4)).transpose(1, 0, 2, 3, 4)
+                )
+            else:
+                gw = conv3d_weight_grad(
+                    grad, x.data, kernel, stride3, pads, _captured=grad_capture
+                )
         if b is not None and b.requires_grad:
             gb = grad.sum(axis=(0, 2, 3, 4))
         grads = [gx, gw]

@@ -17,9 +17,9 @@ Design constraints the implementation follows:
   serially — same results, no worker processes.
 - **Engine config travels with the job.** Each worker re-applies the
   parent's engine snapshot (mode/dtype/precision, fusion, thread count,
-  plan-cache/arena flags, conv dispatch thresholds) before its first run,
-  so a ``--engine mixed`` sweep is mixed in every worker even if the pool
-  outlives a config change in the parent.
+  plan-cache/arena flags) before its first run, so a ``--engine mixed``
+  sweep is mixed in every worker even if the pool outlives a config change
+  in the parent.
 - **Crash isolation.** A worker that raises — or dies outright, taking the
   pool with it — fails only its own runs; the parent retries each failed
   spec serially, with ``resume=True`` when a checkpoint directory is
@@ -60,12 +60,6 @@ def engine_snapshot() -> Dict[str, Any]:
         "num_threads": nn_config.num_threads(),
         "plan_cache": nn_config.plan_cache_enabled(),
         "arena": nn_config.arena_enabled(),
-        "conv_dispatch": {
-            "fft_min_kernel_volume": nn_config.conv_fft_min_kernel_volume(),
-            "fft_min_im2col_elements": nn_config.conv_fft_min_im2col_elements(),
-            "fft_min_im2col_fused": nn_config.conv_fft_min_im2col_fused(),
-            "gemm_min_elements": nn_config.conv_gemm_min_elements(),
-        },
     }
 
 
@@ -77,8 +71,6 @@ def apply_engine_snapshot(snapshot: Dict[str, Any]) -> None:
     nn_config.set_num_threads(snapshot["num_threads"])
     nn_config.set_plan_cache_enabled(snapshot["plan_cache"])
     nn_config.set_arena_enabled(snapshot["arena"])
-    dispatch = snapshot.get("conv_dispatch") or {}
-    nn_config.set_conv_dispatch_thresholds(**dispatch)
 
 
 def _worker_init(snapshot: Dict[str, Any]) -> None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -36,6 +37,28 @@ from typing import Optional
 from urllib.parse import urlparse
 
 from repro.serve.shard import ShardRouter, obs_metrics, synthetic_router, tracing
+
+
+def _deadline_seconds(body: dict) -> Optional[float]:
+    """The body's ``deadline_ms`` in seconds, or ``None`` when absent.
+
+    Raises ``ValueError`` unless it is a finite, non-negative JSON number
+    (``json.loads`` also yields NaN and infinities).
+    """
+    deadline_ms = body.get("deadline_ms")
+    if deadline_ms is None:
+        return None
+    if isinstance(deadline_ms, bool) or not isinstance(deadline_ms, (int, float)):
+        raise ValueError(f'"deadline_ms" must be a number, got {deadline_ms!r}')
+    try:
+        milliseconds = float(deadline_ms)
+    except OverflowError:  # an integer too large for a float
+        milliseconds = math.inf
+    if not math.isfinite(milliseconds) or milliseconds < 0:
+        raise ValueError(
+            f'"deadline_ms" must be finite and non-negative, got {deadline_ms!r}'
+        )
+    return milliseconds / 1e3
 
 
 class _GatewayHandler(BaseHTTPRequestHandler):
@@ -103,9 +126,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 self._send_json({"error": 'body must carry a "window" field'}, 400)
                 self._count(route, 400)
                 return
-            deadline_ms = body.get("deadline_ms")
-            deadline = float(deadline_ms) / 1e3 if deadline_ms is not None else None
             try:
+                deadline = _deadline_seconds(body)
                 response = router.forecast(body["window"], deadline_seconds=deadline)
             except (TypeError, ValueError) as error:
                 self._send_json({"error": str(error)}, 400)

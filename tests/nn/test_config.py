@@ -1,4 +1,6 @@
-"""Substrate configuration: dtype switching and grad-mode globals."""
+"""Substrate configuration: dtype switching and the per-thread grad mode."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -64,3 +66,50 @@ class TestGradMode:
             y = ops.mul(x, 2.0)
         assert y._backward is None
         assert y._parents == ()
+
+
+class TestGradModeThreads:
+    def test_interleaved_no_grad_in_threads_leaves_caller_on(self):
+        # The losing order for a process-wide flag: A enters, B enters
+        # (saving A's "off"), A leaves, B leaves and restores "off".
+        a_entered, b_entered, a_left = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def first():
+            with no_grad():
+                a_entered.set()
+                b_entered.wait(5)
+            a_left.set()
+
+        def second():
+            a_entered.wait(5)
+            with no_grad():
+                b_entered.set()
+                a_left.wait(5)
+                seen["inside"] = config.grad_enabled()
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen["inside"] is False
+        assert config.grad_enabled()
+
+        from repro.nn import Linear, Trainer
+
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((8, 3))
+        trainer = Trainer(Linear(3, 1, rng=0), loss="mse", seed=0)
+        assert np.isfinite(trainer.train_step(x, x.sum(axis=1, keepdims=True)))
+
+    def test_each_thread_starts_with_grad_on(self):
+        seen = []
+        with no_grad():
+            thread = threading.Thread(target=lambda: seen.append(config.grad_enabled()))
+            thread.start()
+            thread.join(timeout=10)
+            assert not config.grad_enabled()
+        assert not thread.is_alive()
+        assert seen == [True]

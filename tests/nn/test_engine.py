@@ -27,41 +27,38 @@ def _counter_value(snapshot, name):
 
 
 class TestPlanCache:
-    def test_hit_after_same_shape_miss_after_shape_change(self):
-        before = _counter_value(obs_metrics.snapshot(), "engine_plan_cache_hits_total")
-        plan_a = engine.conv_forward_plan(2, 3, (4, 4, 4), (2, 3, 3), np.float64)
-        plan_b = engine.conv_forward_plan(2, 3, (4, 4, 4), (2, 3, 3), np.float64)
-        assert plan_a == plan_b
+    def test_hit_after_same_shape_miss_after_shape_change(self, rng):
+        a = rng.standard_normal((2, 3, 4))
+        b = rng.standard_normal((4, 5))
+        misses = _counter_value(obs_metrics.snapshot(), "engine_plan_cache_misses_total")
+        engine.einsum("nij,jk->nik", a, b)
         hits = _counter_value(obs_metrics.snapshot(), "engine_plan_cache_hits_total")
-        assert hits == before + 1
-        # A different signature must be decided afresh, not served from cache.
-        engine.conv_forward_plan(2, 3, (5, 4, 4), (2, 3, 3), np.float64)
+        engine.einsum("nij,jk->nik", a, b)
         assert (
             _counter_value(obs_metrics.snapshot(), "engine_plan_cache_hits_total")
-            == hits
+            == hits + 1
+        )
+        # A different signature must be planned afresh, not served from cache.
+        engine.einsum("nij,jk->nik", rng.standard_normal((3, 3, 4)), b)
+        assert (
+            _counter_value(obs_metrics.snapshot(), "engine_plan_cache_hits_total")
+            == hits + 1
+        )
+        assert (
+            _counter_value(obs_metrics.snapshot(), "engine_plan_cache_misses_total")
+            == misses + 2
         )
 
-    def test_dtype_is_part_of_the_signature(self):
-        config.set_conv_dispatch_thresholds(10**9, 10**18, 1)
-        try:
-            # Flat (depth-1) kernel: GEMM forward is only worth it in float64.
-            assert (
-                engine.conv_forward_plan(2, 3, (4, 4, 4), (1, 3, 3), np.float64)
-                == engine.PLAN_GEMM
-            )
-            # float32 never takes the GEMM forward (einsum wins below FFT).
-            assert (
-                engine.conv_forward_plan(2, 3, (4, 4, 4), (1, 3, 3), np.float32)
-                == engine.PLAN_EINSUM
-            )
-            # Deep kernels stay on einsum even in float64: the im2col copy
-            # never pays for itself there (see docs/PERFORMANCE.md).
-            assert (
-                engine.conv_forward_plan(2, 3, (4, 4, 4), (2, 3, 3), np.float64)
-                == engine.PLAN_EINSUM
-            )
-        finally:
-            config.set_conv_dispatch_thresholds(48, 4_000_000, 1_500_000)
+    def test_dtype_is_part_of_the_signature(self, rng):
+        a = rng.standard_normal((2, 3, 4))
+        b = rng.standard_normal((4, 5))
+        engine.einsum("nij,jk->nik", a, b)
+        misses = _counter_value(obs_metrics.snapshot(), "engine_plan_cache_misses_total")
+        engine.einsum("nij,jk->nik", a.astype(np.float32), b.astype(np.float32))
+        assert (
+            _counter_value(obs_metrics.snapshot(), "engine_plan_cache_misses_total")
+            == misses + 1
+        )
 
     def test_einsum_matches_numpy_and_caches_path(self, rng):
         a = rng.standard_normal((3, 4, 5))

@@ -36,10 +36,9 @@ class TestEngineSnapshot:
         parallel.apply_engine_snapshot(snapshot)
         assert parallel.engine_snapshot() == snapshot
 
-    def test_snapshot_carries_fusion_and_dispatch(self):
+    def test_snapshot_carries_fusion(self):
         snapshot = parallel.engine_snapshot()
-        assert "fusion" in snapshot
-        assert "fft_min_im2col_fused" in snapshot["conv_dispatch"]
+        assert snapshot["fusion"] == nn_config.fusion_enabled()
 
 
 class TestRunSpecs:

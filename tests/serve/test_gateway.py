@@ -8,12 +8,14 @@ degraded tier.
 """
 
 import json
+import time
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
 
+from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.serve.gateway import ForecastGateway
 
@@ -133,6 +135,26 @@ class TestErrorHandling:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(f"{gateway.url}/forecast", {"window": [[1.0, 2.0]]})
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize(
+        "deadline_ms", ["soon", [100], True, float("nan"), float("inf"), -5, 10**400]
+    )
+    def test_invalid_deadline_ms_is_400(self, gateway_factory, raw_windows, deadline_ms):
+        gateway = gateway_factory()
+        rejected = obs_metrics.counter(
+            "gateway_requests_total", route="/forecast", status="400"
+        )
+        before = rejected.value
+        body = {"window": raw_windows[0].tolist(), "deadline_ms": deadline_ms}
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(f"{gateway.url}/forecast", body)
+        assert excinfo.value.code == 400
+        assert "deadline_ms" in json.loads(excinfo.value.read())["error"]
+        # The handler counts just after it answers.
+        waited = time.monotonic() + 5.0
+        while rejected.value == before and time.monotonic() < waited:
+            time.sleep(0.01)
+        assert rejected.value == before + 1
 
     def test_non_json_body_is_400(self, gateway_factory):
         gateway = gateway_factory()

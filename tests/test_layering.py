@@ -283,9 +283,9 @@ class TestRulesFire:
         assert len(violations) == 2
         assert all("repro.store" in line for line in violations)
 
-    def test_stride_tricks_in_nn_ops_kernels_pass(self, tmp_path):
-        # im2col conv lowering is patch extraction inside a kernel, not
-        # supervised window slicing — the sanctioned exemption.
+    def test_stride_tricks_in_nn_ops_are_flagged(self, tmp_path):
+        # The conv kernels lower to im2col with plain slicing; no module
+        # outside the store is exempt.
         root = _tree(
             tmp_path,
             {
@@ -294,7 +294,9 @@ class TestRulesFire:
                 ),
             },
         )
-        assert checker.check(root) == []
+        violations = checker.check(root)
+        assert len(violations) == 1
+        assert "repro.store" in violations[0]
 
     def test_data_windows_must_route_through_store(self, tmp_path):
         root = _tree(
