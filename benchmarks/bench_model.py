@@ -153,7 +153,7 @@ def _bench_snapshot():
 
 @pytest.fixture()
 def engine_mode():
-    """Restore precision, fusion, caches and arena state around each bench."""
+    """Restore precision, fusion and caches around each bench."""
     previous_mode = nn_config.engine_mode()
     previous_fusion = nn_config.fusion_enabled()
 
@@ -162,13 +162,11 @@ def engine_mode():
         nn_config.set_engine_mode(engine_mode)
         nn_config.set_fusion_enabled(fusion)
         engine.clear_caches()
-        engine.arena_clear()
 
     yield configure
     nn_config.set_engine_mode(previous_mode)
     nn_config.set_fusion_enabled(previous_fusion)
     engine.clear_caches()
-    engine.arena_clear()
 
 
 def _make_trainer(case):

@@ -109,12 +109,11 @@ def _bench_snapshot():
 
 @pytest.fixture()
 def engine_mode():
-    """Restore precision, caches and arena state around each bench."""
+    """Restore precision and caches around each bench."""
     previous = nn_config.engine_mode()
     yield nn_config.set_engine_mode
     nn_config.set_engine_mode(previous)
     engine.clear_caches()
-    engine.arena_clear()
 
 
 def _make_trainer(case):

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn import fusion, ops
+from repro.nn import engine, fusion, ops
 from repro.nn.layers.base import Module
 from repro.nn.layers.conv import Conv2D
 from repro.nn.tensor import Tensor
@@ -139,13 +139,16 @@ class SpatialTemporalRouting(Module):
                 votes = self.compute_votes(phi)
             batch, horizon, n_out, count, g1, g2 = votes.shape
             votes_np = votes.data
+            # A sharded batch runs this forward once per shard, possibly on
+            # two threads at once: only shard 0 reports and keeps state.
+            primary = engine.shard_index() == 0
 
             # Routing logits start at zero, so the first coupling is exactly
             # the uniform softmax — materialize it directly instead of
             # building and softmaxing a full zeros tensor, and accumulate
             # logits from the first agreement onward.
             def _emit(iteration: int, agreement: np.ndarray) -> None:
-                if runlog.active():
+                if primary and runlog.active():
                     runlog.emit(
                         "routing_iter",
                         iteration=iteration + 1,
@@ -186,17 +189,19 @@ class SpatialTemporalRouting(Module):
                         last_agreement = agreement
                         _emit(iteration, agreement)
 
-            obs_metrics.counter("routing_forward_total").inc()
-            obs_metrics.gauge("routing_iterations").set(self.iterations)
-            if last_agreement is not None:
-                # How strongly votes agree with the consensus capsule — the
-                # convergence signal of the dynamic routing (Sec. III-D).
-                obs_metrics.gauge("routing_agreement_mean").set(float(last_agreement.mean()))
-                obs_metrics.histogram("routing_agreement_abs_mean").observe(
-                    float(np.abs(last_agreement).mean())
-                )
-
-            self.last_coupling = coupling
+            if primary:
+                obs_metrics.counter("routing_forward_total").inc()
+                obs_metrics.gauge("routing_iterations").set(self.iterations)
+                if last_agreement is not None:
+                    # How strongly votes agree with the consensus capsule —
+                    # the convergence signal of the dynamic routing (Sec. III-D).
+                    obs_metrics.gauge("routing_agreement_mean").set(
+                        float(last_agreement.mean())
+                    )
+                    obs_metrics.histogram("routing_agreement_abs_mean").observe(
+                        float(np.abs(last_agreement).mean())
+                    )
+                self.last_coupling = coupling
             weights_np = np.expand_dims(coupling.transpose(0, 2, 1, 3, 4), axis=2)
             fused_out = fusion.fused_weighted_combine_squash(
                 votes, weights_np, sum_axis=3, squash_axis=2, epsilon=_EPSILON

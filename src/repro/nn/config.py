@@ -15,17 +15,17 @@ knob                            environment variable                     default
 =============================== ======================================== =========
 dtype                           ``REPRO_DTYPE`` (float32|float64)        float64
 engine mode                     ``REPRO_ENGINE`` (fast|precise|mixed)    precise
-intra-step worker threads       ``REPRO_NUM_THREADS``                    1
 cross-op fusion on/off          ``REPRO_FUSION`` (1|0)                   1
 plan cache on/off               ``REPRO_PLAN_CACHE`` (1|0)               1
-workspace arena on/off          ``REPRO_ARENA`` (1|0)                    1
 initial dynamic loss scale      ``REPRO_LOSS_SCALE``                     65536
 loss-scale growth interval      ``REPRO_LOSS_SCALE_GROWTH_INTERVAL``     200
 minimum loss scale              ``REPRO_LOSS_SCALE_MIN``                 1.0
 =============================== ======================================== =========
 
 Conv dispatch has no knob: :mod:`repro.nn.ops.conv` picks its strategy
-from the kernel volume alone (docs/PERFORMANCE.md).
+from the kernel volume alone. Threads have none either: a model decides
+how many shards a batch runs as, and the host's usable CPUs decide whether
+those shards run side by side (:func:`num_threads`, docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -53,10 +53,8 @@ def _env_flag(name: str, default: bool) -> bool:
 
 _DTYPE = np.float64
 _MIXED = False
-_NUM_THREADS = max(1, _env_int("REPRO_NUM_THREADS", 1))
 _FUSION_ENABLED = _env_flag("REPRO_FUSION", True)
 _PLAN_CACHE_ENABLED = _env_flag("REPRO_PLAN_CACHE", True)
-_ARENA_ENABLED = _env_flag("REPRO_ARENA", True)
 _LOSS_SCALE_INIT = float(os.environ.get("REPRO_LOSS_SCALE", "") or 65536.0)
 _LOSS_SCALE_GROWTH_INTERVAL = _env_int("REPRO_LOSS_SCALE_GROWTH_INTERVAL", 200)
 _LOSS_SCALE_MIN = float(os.environ.get("REPRO_LOSS_SCALE_MIN", "") or 1.0)
@@ -171,17 +169,22 @@ def no_grad():
 # Execution-engine knobs (consumed by repro.nn.engine and repro.nn.optim)
 # ---------------------------------------------------------------------------
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
+
+
 def num_threads() -> int:
-    """Worker threads for intra-step batch sharding (1 = serial)."""
-    return _NUM_THREADS
+    """Threads one training step or validation batch runs on.
 
-
-def set_num_threads(count: int) -> None:
-    global _NUM_THREADS
-    count = int(count)
-    if count < 1:
-        raise ValueError(f"num_threads must be >= 1, got {count}")
-    _NUM_THREADS = count
+    Two when the process may use two CPUs, else one: a sharded batch runs
+    its second shard on the engine's single pool thread, and BLAS and FFT
+    calls are held to one thread each (:mod:`repro.nn.engine`).
+    """
+    return min(2, usable_cpus())
 
 
 def fusion_enabled() -> bool:
@@ -216,15 +219,6 @@ def plan_cache_enabled() -> bool:
 def set_plan_cache_enabled(enabled: bool) -> None:
     global _PLAN_CACHE_ENABLED
     _PLAN_CACHE_ENABLED = bool(enabled)
-
-
-def arena_enabled() -> bool:
-    return _ARENA_ENABLED
-
-
-def set_arena_enabled(enabled: bool) -> None:
-    global _ARENA_ENABLED
-    _ARENA_ENABLED = bool(enabled)
 
 
 # Environment-selected startup state: REPRO_ENGINE wins over REPRO_DTYPE.

@@ -2,7 +2,8 @@
 
 Every experiment in this reproduction funnels through the same handful of
 numpy kernels, and training repeats them thousands of times on identical
-shapes. This module reuses the work that is invariant across those calls:
+shapes. This module reuses the work that is invariant across those calls
+and owns the substrate's threads:
 
 - **Plan cache** — ``np.einsum`` contraction paths, keyed by shape/dtype
   signatures. Looked up once per signature, hit thereafter
@@ -14,18 +15,14 @@ shapes. This module reuses the work that is invariant across those calls:
   *weight version* that optimizers bump on every step (and
   ``Module.load_state_dict`` on every load), so a stale kernel FFT can
   never survive a weight update.
-- **Workspace arena** — per-thread buffer pools that recycle the large
-  transient arrays the conv path allocates every call (stride-stuffed
-  gradients, padded inputs, im2col columns). ``engine_arena_bytes_reused_total``
-  tracks the traffic the allocator no longer sees.
-- **Worker pool** — a lazily-built thread pool for intra-step batch
-  sharding (numpy/scipy release the GIL); :mod:`repro.nn.training` shards
-  mini-batches across it with deterministic, shard-ordered gradient
-  accumulation.
+- **One thread budget** — parallelism comes only from batch shards. A
+  sharded batch runs its first shard on the calling thread and the second
+  on one pool thread (:func:`run_shards`) when the process may use two
+  CPUs; OpenBLAS is pinned to one thread when this module is imported and
+  the FFTs run with ``workers=1``, so neither competes with the shards.
 
-All knobs live in :mod:`repro.nn.config` (``REPRO_*`` environment
-variables); behaviour and calibration notes are documented in
-docs/PERFORMANCE.md.
+Knobs live in :mod:`repro.nn.config` (``REPRO_*`` environment variables);
+behaviour and measurements are documented in docs/PERFORMANCE.md.
 
 Identity-keyed caches are only coherent if in-place weight mutation goes
 through an optimizer step or a state-dict load. Code that perturbs
@@ -36,15 +33,22 @@ through an optimizer step or a state-dict load. Code that perturbs
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import logging
+import os
 import threading
 import weakref
+from concurrent import futures as concurrent_futures
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from repro.nn import config
 from repro.obs import metrics as obs_metrics
+from repro.obs import tracing
+
+logger = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # Cache-coherency state
@@ -261,12 +265,11 @@ def _sum_counters(prefix: str) -> float:
 
 
 def plan_cache_stats() -> Dict[str, object]:
-    """Live plan-cache statistics (entries, hit/miss traffic, arena bytes).
+    """Live plan-cache statistics (entries and hit/miss traffic).
 
     Entry counts come straight from the cache dicts; hit/miss totals are the
     accumulated ``engine_*_cache_*_total`` counters (summed over their
-    ``kind`` label); arena bytes cover *this thread's* pooled buffers plus
-    the process-wide reuse counter.
+    ``kind`` label).
     """
     with _plan_lock:
         entries = {
@@ -277,19 +280,12 @@ def plan_cache_stats() -> Dict[str, object]:
         entries["kernel_fft"] = len(_kernel_fft_cache._entries)
     with _masked_weight_cache._lock:
         entries["masked_weight"] = len(_masked_weight_cache._entries)
-    pooled_bytes = sum(
-        buffer.nbytes
-        for stack in getattr(_arena_local, "pools", {}).values()
-        for buffer in stack
-    )
     return {
         "entries": entries,
         "hits": _sum_counters("engine_plan_cache_hits_total"),
         "misses": _sum_counters("engine_plan_cache_misses_total"),
         "fusion_hits": _sum_counters("engine_fusion_cache_hits_total"),
         "fusion_misses": _sum_counters("engine_fusion_cache_misses_total"),
-        "arena_pooled_bytes": pooled_bytes,
-        "arena_bytes_reused": _sum_counters("engine_arena_bytes_reused_total"),
     }
 
 
@@ -298,7 +294,6 @@ def publish_plan_cache_stats() -> Dict[str, object]:
     stats = plan_cache_stats()
     for kind, count in stats["entries"].items():
         obs_metrics.gauge("engine_plan_cache_entries", kind=kind).set(count)
-    obs_metrics.gauge("engine_arena_pooled_bytes").set(stats["arena_pooled_bytes"])
     return stats
 
 
@@ -336,117 +331,141 @@ def warmup(
 
 
 # ---------------------------------------------------------------------------
-# Workspace arena
+# Threads: one BLAS thread, one pool thread for batch shards
 # ---------------------------------------------------------------------------
 
-_MAX_POOLED_PER_KEY = 4
-
-_arena_local = threading.local()
-
-
-def _arena_pools() -> Dict[Tuple, List[np.ndarray]]:
-    pools = getattr(_arena_local, "pools", None)
-    if pools is None:
-        pools = _arena_local.pools = {}
-    return pools
+# How the OpenBLAS builds numpy and scipy ship name their thread setter.
+_OPENBLAS_SETTERS = tuple(
+    f"{prefix}openblas_set_num_threads{suffix}"
+    for prefix in ("", "scipy_")
+    for suffix in ("", "64_", "_64")
+)
 
 
-def arena_empty(shape: Tuple[int, ...], dtype) -> np.ndarray:
-    """Borrow an uninitialised buffer from this thread's pool.
+def _loaded_openblas() -> List[str]:
+    """Paths of the OpenBLAS libraries mapped into this process (Linux)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {
+                line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line
+            }
+    except OSError:
+        return []
+    return sorted(
+        path
+        for path in paths
+        if os.path.basename(path).startswith(("libopenblas", "libscipy_openblas"))
+    )
 
-    The caller owns the buffer until it passes it back via
-    :func:`arena_release`; escaping buffers are simply never released and
-    the pool forgets them.
+
+def pin_blas_threads() -> int:
+    """Hold every loaded OpenBLAS to one thread; returns how many were pinned.
+
+    Done with ctypes, the way threadpoolctl does it. Batch shards are the
+    substrate's only parallelism: a multi-threaded BLAS under two shards
+    oversubscribes a two-CPU host and erases the sharding gain. When no
+    known library is found, nothing changes and that is logged.
     """
-    if not config.arena_enabled():
-        return np.empty(shape, dtype=dtype)
-    key = (tuple(shape), np.dtype(dtype).str)
-    stack = _arena_pools().get(key)
-    if stack:
-        buffer = stack.pop()
-        obs_metrics.counter("engine_arena_bytes_reused_total").inc(buffer.nbytes)
-        return buffer
-    return np.empty(shape, dtype=dtype)
+    pinned = 0
+    for path in _loaded_openblas():
+        try:
+            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                pinned += 1
+                break
+    if not pinned:
+        logger.info("no OpenBLAS library found; BLAS threads left unchanged")
+    return pinned
 
 
-def arena_zeros(shape: Tuple[int, ...], dtype) -> np.ndarray:
-    """Borrow a zero-filled buffer from this thread's pool."""
-    if not config.arena_enabled():
-        return np.zeros(shape, dtype=dtype)
-    key = (tuple(shape), np.dtype(dtype).str)
-    stack = _arena_pools().get(key)
-    if stack:
-        buffer = stack.pop()
-        buffer.fill(0)
-        obs_metrics.counter("engine_arena_bytes_reused_total").inc(buffer.nbytes)
-        return buffer
-    return np.zeros(shape, dtype=dtype)
-
-
-def arena_release(buffer: np.ndarray) -> None:
-    """Return a borrowed buffer to this thread's pool.
-
-    Only call this for buffers whose data does not escape the borrowing
-    function — a released buffer will be handed out (and overwritten) by a
-    later borrow.
-    """
-    if not config.arena_enabled():
-        return
-    key = (buffer.shape, np.dtype(buffer.dtype).str)
-    pools = _arena_pools()
-    stack = pools.setdefault(key, [])
-    if len(stack) < _MAX_POOLED_PER_KEY:
-        stack.append(buffer)
-
-
-def arena_clear() -> None:
-    """Drop this thread's pooled buffers."""
-    getattr(_arena_local, "pools", {}) and _arena_local.pools.clear()
-
-
-# ---------------------------------------------------------------------------
-# Worker pool for intra-step batch sharding
-# ---------------------------------------------------------------------------
+pin_blas_threads()
 
 _executor_lock = threading.Lock()
 _executor: Optional[ThreadPoolExecutor] = None
-_executor_size = 0
+_shard = threading.local()
+
+T = TypeVar("T")
 
 
-def get_executor(workers: int) -> ThreadPoolExecutor:
-    """A process-wide thread pool, rebuilt when the requested size grows.
-
-    The rebuild waits for the old pool's workers to drain: a non-blocking
-    shutdown would strand threads still chewing on shard work (e.g. after an
-    exception escaped a sharded train step), and repeated rebuilds across
-    recovery retries would leak a pool's worth of threads each time.
-    """
-    global _executor, _executor_size
+def _pool() -> ThreadPoolExecutor:
+    """The process-wide pool: one thread, built on first use."""
+    global _executor
     with _executor_lock:
-        if _executor is None or _executor_size < workers:
-            if _executor is not None:
-                _executor.shutdown(wait=True, cancel_futures=True)
+        if _executor is None:
             _executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-engine"
+                max_workers=1, thread_name_prefix="repro-engine"
             )
-            _executor_size = workers
         return _executor
 
 
 def reset_executor(wait: bool = True) -> None:
-    """Shut down the shared shard pool (if any) and forget it.
+    """Shut down the shard pool thread (if any) and forget it.
 
-    ``repro.nn.training`` calls this when an exception escapes a sharded
-    train step: pending shard futures are cancelled and running ones drained
-    so no worker thread survives into the recovery retry with stale work.
+    The next sharded batch builds a fresh one. Forked sweep workers call
+    this, since a thread pool cannot cross a fork.
     """
-    global _executor, _executor_size
+    global _executor
     with _executor_lock:
-        executor, _executor, _executor_size = _executor, None, 0
+        executor, _executor = _executor, None
     if executor is not None:
         executor.shutdown(wait=wait, cancel_futures=True)
 
 
-def num_threads() -> int:
-    """Resolved worker-thread count for batch sharding."""
-    return config.num_threads()
+def shard_index() -> int:
+    """Which shard of a batch this thread is computing (0 outside shards).
+
+    Modules that keep per-forward state (the routing's last coupling) write
+    it from shard 0 only, so it stays well defined while shards run
+    concurrently.
+    """
+    return getattr(_shard, "index", 0)
+
+
+def _as_shard(index: int, task: Callable[[], T]) -> Callable[[], T]:
+    """``task`` run as shard ``index`` in the caller's autograd, cache and
+    trace state (all three are per thread)."""
+    grad = config.grad_enabled()
+    bypass = getattr(_cache_bypass, "depth", 0)
+    parent = tracing.current_context()
+
+    def run() -> T:
+        config.set_grad_enabled(grad)
+        _cache_bypass.depth = bypass
+        _shard.index = index
+        try:
+            with tracing.span("train.shard", parent=parent, shard=index):
+                return task()
+        finally:
+            _shard.index = 0
+
+    return run
+
+
+def run_shards(tasks: Sequence[Callable[[], T]]) -> List[T]:
+    """Run one batch's shards and return their results in shard order.
+
+    The calling thread runs shard 0; with two usable CPUs the pool thread
+    runs the others meanwhile, otherwise they run after it, in order. Each
+    shard is a pure function of its inputs, so the results are the same
+    bits either way. If a shard raises, its siblings are cancelled or
+    waited out before the error propagates, so no shard of a failed step
+    outlives it.
+    """
+    shards = [_as_shard(index, task) for index, task in enumerate(tasks)]
+    if len(shards) < 2 or config.num_threads() < 2:
+        return [shard() for shard in shards]
+    pending = [_pool().submit(shard) for shard in shards[1:]]
+    try:
+        first = shards[0]()
+        return [first] + [future.result() for future in pending]
+    except BaseException:
+        for future in pending:
+            future.cancel()
+        concurrent_futures.wait(pending)
+        raise

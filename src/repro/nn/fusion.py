@@ -274,10 +274,7 @@ def fused_weighted_combine_squash(
     sum_axes = plan["sum_axes"]
     squash_axes = plan["squash_axes"]
     vd = votes.data
-    prod = engine.arena_empty(vd.shape, vd.dtype)
-    np.multiply(vd, weights, out=prod)
-    combined = prod.sum(axis=sum_axes, keepdims=False)
-    engine.arena_release(prod)
+    combined = np.multiply(vd, weights).sum(axis=sum_axes, keepdims=False)
     sq, norm, a2, m2, scale = _squash_forward(combined, squash_axes, epsilon)
     data = combined * scale
     prod_shape = vd.shape
@@ -308,7 +305,7 @@ def routing_iterations(
     layout caveat is load-bearing: numpy's pairwise reductions associate
     differently over a C-contiguous buffer than over the transposed view
     ``einsum(...->nspxy)`` returns, so rewriting this loop with
-    ``out=``/arena buffers changes ``softmax`` sums in the last ulp. The
+    ``out=`` buffers changes ``softmax`` sums in the last ulp. The
     fused win for routing lives in :func:`fused_weighted_combine_squash`
     (the autograd-visible tail); this entry point contributes the cached
     plan (softmax axes + uniform first coupling, skipping the zeros

@@ -68,6 +68,14 @@ class Module:
         """Total scalar parameter count (the paper reports 646,395 for BikeCAP)."""
         return sum(p.size for p in self.parameters())
 
+    def batch_shards(self, input_shape: Tuple[int, ...]) -> int:
+        """How many shards ``Trainer`` splits a batch of this shape into.
+
+        One — the plain serial step — unless a model that measured faster
+        split overrides this, as BikeCAP does.
+        """
+        return 1
+
     # ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
         for module in self.modules():

@@ -24,10 +24,10 @@ Two strategies, chosen from the kernel volume alone
   unchanged, and the padded-input FFT computed on the forward pass is
   reused by the weight gradient of the same op.
 
-Padded inputs, stride-stuffed gradients and the im2col columns a forward
-captures come from the engine's workspace arena instead of fresh
-allocations; the direct kernels' other transients are bounded by walking
-the batch in chunks.
+The direct kernels bound their transients by walking the batch in chunks.
+Every FFT runs with ``workers=1``: parallelism comes from batch shards
+(:func:`repro.nn.engine.run_shards`), and FFT threads would compete with
+them.
 
 Data layout is channels-first: ``(N, C, D, H, W)`` for 3-D and
 ``(N, C, H, W)`` for 2-D. 3-D kernels are ``(C_out, C_in, kD, kH, kW)``;
@@ -112,8 +112,8 @@ def _use_fft(kernel) -> bool:
     return int(np.prod(kernel)) >= FFT_MIN_KERNEL_VOLUME
 
 
-def _pad5(x: np.ndarray, pads: _Pads) -> Tuple[np.ndarray, bool]:
-    """Pad the spatial axes into an arena buffer; returns ``(padded, borrowed)``.
+def _pad5(x: np.ndarray, pads: _Pads) -> np.ndarray:
+    """Zero-pad the spatial axes.
 
     A negative entry crops that many planes instead (the tight padding of
     :func:`conv3d_input_grad` can ask for it when a pad exceeds kernel − 1).
@@ -125,16 +125,16 @@ def _pad5(x: np.ndarray, pads: _Pads) -> Tuple[np.ndarray, bool]:
         )]
         pads = tuple((max(before, 0), max(after, 0)) for before, after in pads)
     if all(p == (0, 0) for p in pads):
-        return x, False
+        return x
     shape = x.shape[:2] + tuple(
         x.shape[2 + i] + pads[i][0] + pads[i][1] for i in range(3)
     )
-    buffer = engine.arena_zeros(shape, x.dtype)
+    buffer = np.zeros(shape, x.dtype)
     interior = (slice(None), slice(None)) + tuple(
         slice(pads[i][0], pads[i][0] + x.shape[2 + i]) for i in range(3)
     )
     buffer[interior] = x
-    return buffer, True
+    return buffer
 
 
 def _view_identity(arr: np.ndarray) -> Tuple:
@@ -163,7 +163,7 @@ def _kernel_rfftn(w: np.ndarray, spatial: Tuple[int, ...], flip: bool) -> np.nda
 
     def build() -> np.ndarray:
         kernel = w[:, :, ::-1, ::-1, ::-1] if flip else w
-        return sfft.rfftn(kernel, s=spatial, axes=(2, 3, 4), workers=-1)
+        return sfft.rfftn(kernel, s=spatial, axes=(2, 3, 4), workers=1)
 
     return engine.kernel_fft(root, (tuple(spatial), flip) + layout, build)
 
@@ -176,13 +176,13 @@ def _conv3d_forward_fft(
 
     spatial = xp.shape[2:]
     kernel = w.shape[2:]
-    fx = sfft.rfftn(xp, s=spatial, axes=(2, 3, 4), workers=-1)
+    fx = sfft.rfftn(xp, s=spatial, axes=(2, 3, 4), workers=1)
     if capture is not None:
         capture["fx"] = fx
         capture["fx_spatial"] = spatial
     fw = _kernel_rfftn(w, spatial, flip=True)
     product = engine.einsum("ncdhw,ocdhw->nodhw", fx, fw)
-    full = sfft.irfftn(product, s=spatial, axes=(2, 3, 4), workers=-1)
+    full = sfft.irfftn(product, s=spatial, axes=(2, 3, 4), workers=1)
     # The valid-correlation region of a circular convolution with
     # S = padded-input size starts at kernel−1 (wraparound only pollutes
     # indices below that).
@@ -190,14 +190,14 @@ def _conv3d_forward_fft(
     return np.ascontiguousarray(out[:, :, :: stride[0], :: stride[1], :: stride[2]])
 
 
-def _stuff_stride(gout: np.ndarray, stride) -> Tuple[np.ndarray, bool]:
+def _stuff_stride(gout: np.ndarray, stride) -> np.ndarray:
     """Zero-stuff ``gout`` back onto the stride-1 lattice (no-op at stride 1)."""
     if stride == (1, 1, 1):
-        return gout, False
+        return gout
     stuffed_shape = tuple((gout.shape[2 + i] - 1) * stride[i] + 1 for i in range(3))
-    stuffed = engine.arena_zeros(gout.shape[:2] + stuffed_shape, gout.dtype)
+    stuffed = np.zeros(gout.shape[:2] + stuffed_shape, gout.dtype)
     stuffed[:, :, :: stride[0], :: stride[1], :: stride[2]] = gout
-    return stuffed, True
+    return stuffed
 
 
 def _conv3d_weight_grad_fft(
@@ -221,16 +221,15 @@ def _conv3d_weight_grad_fft(
     from scipy import fft as sfft
 
     spatial = tuple(xp_spatial)
-    gout, stuffed_borrowed = _stuff_stride(gout, tuple(stride))
+    gout = _stuff_stride(gout, tuple(stride))
     if fx is None:
-        fx = sfft.rfftn(xp, s=spatial, axes=(2, 3, 4), workers=-1)
-    fg = sfft.rfftn(gout, s=spatial, axes=(2, 3, 4), workers=-1)
-    if stuffed_borrowed:
-        engine.arena_release(gout)
+        fx = sfft.rfftn(xp, s=spatial, axes=(2, 3, 4), workers=1)
+    fg = sfft.rfftn(gout, s=spatial, axes=(2, 3, 4), workers=1)
     corr = sfft.irfftn(
         engine.einsum("ncdhw,nodhw->ocdhw", fx, np.conj(fg)),
         s=spatial,
         axes=(2, 3, 4),
+        workers=1,
     )
     kd, kh, kw = kernel_size
     return np.ascontiguousarray(corr[:, :, :kd, :kh, :kw])
@@ -296,8 +295,8 @@ def _conv3d_forward_direct(
         out = np.empty((batch, c_out, positions), dtype)
         cols = None
         if capture is not None:
-            # The weight gradient consumes these and returns them to the arena.
-            cols = capture["cols"] = engine.arena_empty(
+            # Kept for the weight gradient, which consumes them.
+            cols = capture["cols"] = np.empty(
                 (batch, c_in * taps, positions), xp.dtype
             )
         w_rows = w.reshape(c_out, -1)
@@ -364,14 +363,10 @@ def conv3d_forward(
     reuses: the padded-input FFT (``fx``) or the im2col columns (``cols``).
     """
     stride = tuple(stride)
-    xp, borrowed = _pad5(x, pads)
+    xp = _pad5(x, pads)
     if _use_fft(w.shape[2:]):
-        out = _conv3d_forward_fft(xp, w, stride, capture=_capture)
-    else:
-        out = _conv3d_forward_direct(xp, w, stride, capture=_capture)
-    if borrowed:
-        engine.arena_release(xp)
-    return out
+        return _conv3d_forward_fft(xp, w, stride, capture=_capture)
+    return _conv3d_forward_direct(xp, w, stride, capture=_capture)
 
 
 def conv3d_weight_grad(
@@ -400,19 +395,15 @@ def conv3d_weight_grad(
             return _conv3d_weight_grad_fft(
                 padded_spatial, gout, kernel_size, stride, fx=fx
             )
-        xp, borrowed = _pad5(x, pads)
-        grad = _conv3d_weight_grad_fft(padded_spatial, gout, kernel_size, stride, xp=xp)
-        if borrowed:
-            engine.arena_release(xp)
-        return grad
+        return _conv3d_weight_grad_fft(
+            padded_spatial, gout, kernel_size, stride, xp=_pad5(x, pads)
+        )
     grad_shape = (gout.shape[1], -1) + kernel_size
     # Popped, so a second backward through the same graph rebuilds them.
     cols = captured.pop("cols", None)
     if cols is not None:
-        grad = _gemm_weight_grad(gout, cols)
-        engine.arena_release(cols)
-        return grad.reshape(grad_shape)
-    xp, borrowed = _pad5(x, pads)
+        return _gemm_weight_grad(gout, cols).reshape(grad_shape)
+    xp = _pad5(x, pads)
     out_spatial = gout.shape[2:]
     windows = _tap_windows(kernel_size, stride, out_spatial)
     expanded = x.shape[1] * len(windows) * int(np.prod(out_spatial))
@@ -420,8 +411,6 @@ def conv3d_weight_grad(
         _gemm_weight_grad(gout[chunk], _im2col(xp[chunk], windows, out_spatial))
         for chunk in _sample_chunks(x.shape[0], expanded, xp.itemsize)
     )
-    if borrowed:
-        engine.arena_release(xp)
     return grad.reshape(grad_shape)
 
 
@@ -450,16 +439,13 @@ def conv3d_input_grad(
             raise ValueError("inconsistent shapes for conv3d_input_grad")
     if not _use_fft(kernel) and w.shape[1] <= w.shape[0]:
         return _col2im_input_grad(gout, w, x_spatial, stride, pads)
-    stuffed, stuffed_borrowed = _stuff_stride(gout, stride)
+    stuffed = _stuff_stride(gout, stride)
     tight_pads = tuple(
         (kernel[i] - 1 - pads[i][0], pads[i][0] + x_spatial[i] - stuffed.shape[2 + i])
         for i in range(3)
     )
     flipped = np.flip(w, axis=(2, 3, 4)).transpose(1, 0, 2, 3, 4)  # (C_in, C_out, k)
-    grad = conv3d_forward(stuffed, flipped, (1, 1, 1), tight_pads, _capture=_capture)
-    if stuffed_borrowed:
-        engine.arena_release(stuffed)
-    return grad
+    return conv3d_forward(stuffed, flipped, (1, 1, 1), tight_pads, _capture=_capture)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +553,6 @@ def conv_transpose3d(
                 flipped = _gemm_weight_grad(grad, cols).reshape(
                     (grad.shape[1], -1) + kernel
                 )
-                engine.arena_release(cols)
                 gw = np.ascontiguousarray(
                     np.flip(flipped, axis=(2, 3, 4)).transpose(1, 0, 2, 3, 4)
                 )

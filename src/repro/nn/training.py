@@ -19,6 +19,7 @@ interrupted run resumes bit-exactly (see :mod:`repro.nn.serialization`).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -107,6 +108,19 @@ def _is_batch_source(candidate: object) -> bool:
     from the store instead of holding every window in memory.
     """
     return hasattr(candidate, "batches") and hasattr(candidate, "num_samples")
+
+
+def _shard_slices(count: int, shards: int) -> List[slice]:
+    """Contiguous, balanced shard slices (np.array_split layout)."""
+    shards = max(1, min(shards, count))
+    base, extra = divmod(count, shards)
+    slices = []
+    start = 0
+    for index in range(shards):
+        size = base + (1 if index < extra else 0)
+        slices.append(slice(start, start + size))
+        start += size
+    return slices
 
 
 class Trainer:
@@ -408,30 +422,17 @@ class Trainer:
     def train_step(self, batch_x: np.ndarray, batch_y: np.ndarray) -> float:
         """One optimizer update; returns the batch loss.
 
-        With ``REPRO_NUM_THREADS > 1`` the mini-batch is sharded across the
-        engine's worker pool (numpy/scipy release the GIL); at the default
-        of 1 this is the plain serial loop, byte-for-byte.
+        The batch runs as one piece or as shards, as the model's
+        ``batch_shards`` hook decides (:meth:`_batch_loss`); a one-shard
+        model takes the plain serial step, bit for bit.
 
         Under mixed precision (``self.scaler`` set) the backward pass runs
         on the scaled loss; an overflowed step is skipped (gradients
         dropped, scale halved) and the *finite* unscaled batch loss is
         returned, so a skipped step never trips the divergence sentinel.
         """
-        workers = config.num_threads()
-        if workers <= 1 or len(batch_x) < 2:
-            self.optimizer.zero_grad()
-            prediction = self.model(Tensor(batch_x))
-            loss = self.loss_fn(prediction, Tensor(batch_y))
-            if self.scaler is not None:
-                self.scaler.scale_loss(loss).backward()
-            else:
-                loss.backward()
-            loss_value = float(loss.data)
-        else:
-            self.optimizer.zero_grad()
-            loss_value = self._sharded_loss_and_grads(
-                batch_x, batch_y, shards=workers, use_pool=True
-            )
+        self.optimizer.zero_grad()
+        loss_value = self._batch_loss(batch_x, batch_y, backward=True)
         faults.poison_gradients(self.optimizer.parameters)
         if self._overflow_skipped():
             return loss_value
@@ -463,97 +464,72 @@ class Trainer:
         runlog.emit("amp_overflow", scale=self.scaler.scale)
         return True
 
-    @staticmethod
-    def _shard_slices(count: int, shards: int) -> List[slice]:
-        """Contiguous, balanced shard slices (np.array_split layout)."""
-        shards = min(shards, count)
-        base, extra = divmod(count, shards)
-        slices = []
-        start = 0
-        for index in range(shards):
-            size = base + (1 if index < extra else 0)
-            slices.append(slice(start, start + size))
-            start += size
-        return slices
-
-    def _sharded_loss_and_grads(
-        self,
-        batch_x: np.ndarray,
-        batch_y: np.ndarray,
-        shards: int,
-        use_pool: bool,
+    def _batch_loss(
+        self, batch_x: np.ndarray, batch_y: np.ndarray, backward: bool
     ) -> float:
-        """Forward/backward over shards; accumulate gradients into params.
+        """Mean loss of one batch; ``backward`` also leaves its gradients in ``.grad``.
 
-        Each shard backpropagates into a private gradient sink, and the sinks
-        are merged in shard-index order with sample-count weights — so the
-        result is a pure function of the shard decomposition, independent of
-        worker scheduling. ``use_pool=False`` runs the identical shards
-        serially (the determinism reference).
-
-        The combined loss is the sample-weighted mean of the per-shard mean
-        losses, which equals the full-batch mean loss up to summation order.
+        One shard is the plain forward (and backward) over the whole batch.
+        More split the batch into contiguous, balanced shards that
+        :func:`repro.nn.engine.run_shards` runs side by side when two CPUs
+        are usable. Each shard backpropagates into a private gradient sink,
+        and the sinks merge in shard order with sample-count weights, so the
+        bits depend on the model, seed and data, never on the host or on
+        thread scheduling. The loss is the sample-weighted mean of the shard
+        losses: the full-batch mean up to summation order.
         """
         count = len(batch_x)
-        slices = self._shard_slices(count, shards)
-        # Shards run on pool threads whose span stacks are empty; capture the
-        # dispatching thread's context so their spans stay in this trace.
-        parent = tracing.current_context()
+        slices = _shard_slices(count, self.model.batch_shards(batch_x.shape))
+        if len(slices) == 1:
+            prediction = self.model(Tensor(batch_x))
+            loss = self.loss_fn(prediction, Tensor(batch_y))
+            if backward:
+                self._backprop_root(loss).backward()
+            return float(loss.data)
 
-        def run_shard(shard: slice):
-            with tracing.span("train.shard", parent=parent):
-                prediction = self.model(Tensor(batch_x[shard]))
-                loss = self.loss_fn(prediction, Tensor(batch_y[shard]))
-                sink: Dict = {}
-                backprop_root = (
-                    self.scaler.scale_loss(loss) if self.scaler is not None else loss
-                )
-                backprop_root.backward(sink=sink)
-                return float(loss.data), sink
+        def run_shard(part: slice):
+            prediction = self.model(Tensor(batch_x[part]))
+            loss = self.loss_fn(prediction, Tensor(batch_y[part]))
+            sink: Dict = {}
+            if backward:
+                self._backprop_root(loss).backward(sink=sink)
+            return float(loss.data), sink
 
-        if use_pool:
-            executor = engine.get_executor(len(slices))
-            try:
-                results = list(executor.map(run_shard, slices))
-            except BaseException:
-                # A shard that raises (fault injection, divergence, OOM)
-                # leaves sibling shards still running against the same
-                # model; tear the pool down — cancelling queued shards and
-                # waiting out in-flight ones — so a rollback-and-retry
-                # never races a zombie worker from the failed step.
-                engine.reset_executor(wait=True)
-                raise
-            obs_metrics.counter("train_sharded_steps_total").inc()
-        else:
-            results = [run_shard(shard) for shard in slices]
-
+        results = engine.run_shards([functools.partial(run_shard, part) for part in slices])
+        weights = [(part.stop - part.start) / count for part in slices]
         loss_value = 0.0
-        weights = [(s.stop - s.start) / count for s in slices]
         for weight, (shard_loss, _) in zip(weights, results):
             loss_value += weight * shard_loss
-        for param in self.optimizer.parameters:
-            total = None
-            for weight, (_, sink) in zip(weights, results):
-                grad = sink.get(id(param))
-                if grad is None:
-                    continue
-                contribution = grad * weight
-                total = contribution if total is None else total + contribution
-            if total is not None:
-                param.grad = total if param.grad is None else param.grad + total
+        if backward:
+            obs_metrics.counter("train_sharded_steps_total").inc()
+            for param in self.optimizer.parameters:
+                total = None
+                for weight, (_, sink) in zip(weights, results):
+                    grad = sink.get(id(param))
+                    if grad is None:
+                        continue
+                    contribution = grad * weight
+                    total = contribution if total is None else total + contribution
+                if total is not None:
+                    param.grad = total if param.grad is None else param.grad + total
         return loss_value
 
+    def _backprop_root(self, loss: Tensor) -> Tensor:
+        """What backward starts from: the loss, scaled under mixed precision."""
+        return self.scaler.scale_loss(loss) if self.scaler is not None else loss
+
     def evaluate(self, inputs: np.ndarray, targets: np.ndarray) -> float:
-        """Mean loss over a dataset without building autograd graphs."""
+        """Mean loss over a dataset without building autograd graphs.
+
+        Batches shard exactly as training steps do (:meth:`_batch_loss`).
+        """
         was_training = self.model.training
         self.model.eval()
         losses = []
         weights = []
         with config.no_grad():
             for batch_x, batch_y in iterate_minibatches(inputs, targets, self.batch_size):
-                prediction = self.model(Tensor(batch_x))
-                loss = self.loss_fn(prediction, Tensor(batch_y))
-                losses.append(float(loss.data))
+                losses.append(self._batch_loss(batch_x, batch_y, backward=False))
                 weights.append(len(batch_x))
         self.model.train(was_training)
         return float(np.average(losses, weights=weights))

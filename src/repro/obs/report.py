@@ -94,8 +94,8 @@ def summarize_run(events: List[Dict]) -> Dict:
     start = next((e for e in events if e.get("event") == "run_start"), None)
     end = next((e for e in events if e.get("event") == "run_end"), None)
     epochs = [event for event in events if event.get("event") == "epoch"]
-    # Engine plan-cache statistics (entries per cache, hit/miss traffic,
-    # arena bytes) are logged once at run close by the pipeline runner;
+    # Engine plan-cache statistics (entries per cache, hit/miss traffic)
+    # are logged once at run close by the pipeline runner;
     # surface the newest record minus the event envelope.
     plan_cache = next(
         (e for e in reversed(events) if e.get("event") == "plan_cache"), None

@@ -96,14 +96,18 @@ class RunLogger:
             "status": status,
         }
         record.update(fields)
-        self._write(record)
+        line = json.dumps(record, default=str) + "\n"
         try:
             _ACTIVE.remove(self)
         except ValueError:
             pass
+        # run_end and the close share one lock hold, so no event racing the
+        # close can land after run_end.
         with self._lock:
-            if self._handle is not None:
-                self._handle.close()
+            if self._handle is None:
+                return
+            self._handle.write(line)
+            self._handle.close()
             self._handle = None
 
     def _write(self, record: Dict) -> None:

@@ -1,11 +1,13 @@
 """Multiprocess data-parallel execution of independent RunSpecs.
 
-``REPRO_NUM_THREADS`` shards one training step across threads; this module
-is the level above it: whole *runs* (one :class:`~repro.pipeline.spec.RunSpec`
-per seed) are independent by construction — each seeds its own generators
-from ``spec.seed`` and never reads process-global RNG state — so a repeated-
-seed sweep can fan out across worker processes without changing a single
-bit of the result. ``run_all --jobs N`` routes through :func:`run_specs`.
+A big enough training step already runs as two shards on two threads
+(:func:`repro.nn.engine.run_shards`); this module is the level above it:
+whole *runs* (one :class:`~repro.pipeline.spec.RunSpec` per seed) are
+independent by construction — each seeds its own generators from
+``spec.seed`` and never reads process-global RNG state — so a
+repeated-seed sweep can fan out across worker processes without changing
+a single bit of the result. ``run_all --jobs N`` routes through
+:func:`run_specs`.
 
 Design constraints the implementation follows:
 
@@ -16,10 +18,9 @@ Design constraints the implementation follows:
   metric dicts out. On platforms without ``fork`` the sweep silently runs
   serially — same results, no worker processes.
 - **Engine config travels with the job.** Each worker re-applies the
-  parent's engine snapshot (mode/dtype/precision, fusion, thread count,
-  plan-cache/arena flags) before its first run, so a ``--engine mixed``
-  sweep is mixed in every worker even if the pool outlives a config change
-  in the parent.
+  parent's engine snapshot (mode/dtype/precision, fusion, plan-cache
+  flag) before its first run, so a ``--engine mixed`` sweep is mixed in
+  every worker even if the pool outlives a config change in the parent.
 - **Crash isolation.** A worker that raises — or dies outright, taking the
   pool with it — fails only its own runs; the parent retries each failed
   spec serially, with ``resume=True`` when a checkpoint directory is
@@ -57,9 +58,7 @@ def engine_snapshot() -> Dict[str, Any]:
         "engine_mode": nn_config.engine_mode(),
         "dtype": np.dtype(nn_config.dtype()).str,
         "fusion": nn_config.fusion_enabled(),
-        "num_threads": nn_config.num_threads(),
         "plan_cache": nn_config.plan_cache_enabled(),
-        "arena": nn_config.arena_enabled(),
     }
 
 
@@ -68,17 +67,15 @@ def apply_engine_snapshot(snapshot: Dict[str, Any]) -> None:
     nn_config.set_engine_mode(snapshot["engine_mode"])
     nn_config.set_dtype(snapshot["dtype"])
     nn_config.set_fusion_enabled(snapshot["fusion"])
-    nn_config.set_num_threads(snapshot["num_threads"])
     nn_config.set_plan_cache_enabled(snapshot["plan_cache"])
-    nn_config.set_arena_enabled(snapshot["arena"])
 
 
 def _worker_init(snapshot: Dict[str, Any]) -> None:
     """Pool initializer: make the forked child a faithful engine replica.
 
-    The fork inherited the parent's executor handle and caches by value;
-    reset them so this worker lazily builds its own (a thread pool object
-    cannot be shared across processes), then pin the engine config.
+    The fork inherited the parent's shard-pool handle and caches by value,
+    but not the pool's thread; reset them so this worker lazily builds its
+    own, then pin the engine config.
     """
     from repro.nn import engine
 

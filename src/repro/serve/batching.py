@@ -9,8 +9,8 @@ windows in arrival order, its responses are bit-identical to calling the
 service directly with that batch — pinned by
 ``tests/serve/test_batching.py``.
 
-The worker owns all model execution, so the numpy substrate's thread-local
-state (workspace arena, plan caches) sees one consistent thread; client
+The worker owns all model execution, so the numpy substrate's per-thread
+state (autograd flag, cache bypass) sees one consistent thread; client
 threads only block on a :class:`concurrent.futures.Future`.
 """
 

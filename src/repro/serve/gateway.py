@@ -5,9 +5,12 @@ tier: a stdlib :class:`~http.server.ThreadingHTTPServer` (one handler
 thread per connection, same shape as the telemetry exporter) that turns
 
 - ``POST /forecast`` — body ``{"window": [[...]], "deadline_ms": 250}``
-  (a raw full-grid history window, nested lists of counts) into the merged
-  :class:`~repro.serve.shard.ShardedResponse` as JSON: full-grid ``demand``
-  plus the per-shard reports, degradation and failed-shard list, verbatim;
+  (a raw full-grid history window, nested lists of finite counts) into the
+  merged :class:`~repro.serve.shard.ShardedResponse` as JSON: full-grid
+  ``demand`` plus the per-shard reports, degradation and failed-shard list,
+  verbatim. The body must declare its ``Content-Length``: a missing,
+  malformed or negative one is a 400, one above ``MAX_BODY_BYTES`` a 413,
+  both answered before any of the body is read;
 - ``GET /healthz`` — liveness plus shard count;
 - ``GET /shards`` — the router's static shard map (regions, tiers);
 - ``GET /adaptation`` — per-shard online-adaptation state (serving
@@ -30,13 +33,32 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import Optional, Tuple
 from urllib.parse import urlparse
 
 from repro.serve.shard import ShardRouter, obs_metrics, synthetic_router, tracing
+
+
+# Largest request body the gateway reads; a paper-geometry window
+# (8×16×12×4 counts) is well under 1 MB of JSON.
+MAX_BODY_BYTES = 8 << 20
+
+
+def _body_length_error(header: Optional[str]) -> Optional[Tuple[int, str]]:
+    """``(status, message)`` when ``Content-Length`` forbids reading the body.
+
+    A missing, non-integer or negative value is a 400 (``read(-1)`` would
+    wait for the client to close); one above :data:`MAX_BODY_BYTES` is a 413.
+    """
+    if header is None or not re.fullmatch(r"[0-9]+", header.strip()):
+        return 400, f"Content-Length must be a non-negative integer, got {header!r}"
+    if int(header) > MAX_BODY_BYTES:
+        return 413, f"body of {int(header)} bytes exceeds the {MAX_BODY_BYTES}-byte cap"
+    return None
 
 
 def _deadline_seconds(body: dict) -> Optional[float]:
@@ -112,8 +134,14 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self._send_json({"error": f"unknown route {route!r}"}, 404)
             self._count(route, 404)
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length)
+        header = self.headers.get("Content-Length")
+        rejected = _body_length_error(header)
+        if rejected is not None:
+            status, message = rejected
+            self._send_json({"error": message}, status)
+            self._count(route, status)
+            return
+        raw = self.rfile.read(int(header))
         began = time.monotonic()
         with tracing.span("gateway.request", route=route, method="POST"):
             try:

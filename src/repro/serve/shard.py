@@ -322,6 +322,9 @@ class ShardRouter:
                 f"expected one raw full-grid window of shape {self.window_shape}, "
                 f"got {window.shape}"
             )
+        if not np.isfinite(window).all():
+            # json.loads accepts NaN and Infinity; neither is a demand count.
+            raise ValueError("window must hold finite values only (got NaN or inf)")
         began = self._clock()
         obs_metrics.counter("serve_router_requests_total").inc()
         with tracing.span("serve.route", shards=len(self.regions)):

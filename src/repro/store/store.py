@@ -99,12 +99,18 @@ class WindowStore:
         scaler statistics (``partial_fit``) — the live-ingestion refresh
         path. Offline dataset builds instead fit once on the training range
         (:meth:`fit_scaler`) to keep normalization leakage-free.
+
+        Non-finite slots raise ``ValueError`` before anything is appended:
+        one NaN folded into the running min/max would poison the scaler for
+        good.
         """
         slots = np.asarray(slots)
         if slots.ndim == 3:
             slots = slots[np.newaxis]
         if slots.ndim != 4:
             raise ValueError(f"expected (n, G1, G2, F) slots, got shape {slots.shape}")
+        if not np.isfinite(slots).all():
+            raise ValueError("slots must hold finite values only (got NaN or inf)")
         appended = self._chunks.extend(slots)
         if update_scaler and appended:
             self.scaler.partial_fit(self.raw_slots(self.num_slots - appended))

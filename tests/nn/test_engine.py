@@ -1,5 +1,5 @@
-"""Execution-engine behaviour: plan cache, weight caches, arena, dtype
-parity and deterministic threaded sharding."""
+"""Execution-engine behaviour: plan cache, weight caches, dtype parity
+and deterministic threaded sharding."""
 
 import numpy as np
 import pytest
@@ -14,10 +14,8 @@ from repro.obs import metrics as obs_metrics
 @pytest.fixture(autouse=True)
 def _fresh_engine():
     engine.clear_caches()
-    engine.arena_clear()
     yield
     engine.clear_caches()
-    engine.arena_clear()
 
 
 def _counter_value(snapshot, name):
@@ -173,34 +171,6 @@ class TestWeightCaches:
         assert not np.allclose(perturbed, restored)
 
 
-class TestArena:
-    def test_zeros_buffer_is_reused_and_rezeroed(self):
-        buffer = engine.arena_zeros((4, 5), np.float64)
-        buffer[:] = 7.0
-        engine.arena_release(buffer)
-        again = engine.arena_zeros((4, 5), np.float64)
-        assert again is buffer
-        assert np.all(again == 0.0)
-
-    def test_shape_and_dtype_key_the_pool(self):
-        buffer = engine.arena_empty((4, 5), np.float64)
-        engine.arena_release(buffer)
-        other = engine.arena_empty((5, 4), np.float64)
-        assert other is not buffer
-        other32 = engine.arena_empty((4, 5), np.float32)
-        assert other32 is not buffer
-
-    def test_disabled_arena_never_pools(self):
-        config.set_arena_enabled(False)
-        try:
-            buffer = engine.arena_zeros((3, 3), np.float64)
-            engine.arena_release(buffer)
-            again = engine.arena_zeros((3, 3), np.float64)
-            assert again is not buffer
-        finally:
-            config.set_arena_enabled(True)
-
-
 class TestEinsumOp:
     def test_gradcheck(self, rng):
         from repro.nn import check_gradients
@@ -252,12 +222,21 @@ class TestDtypeParity:
         assert int(np.argmin(curves[np.float32])) == int(np.argmin(curves[np.float64]))
 
 
+def _shard_into(trainer, shards):
+    """Make the trainer's model split every batch into ``shards`` pieces."""
+    trainer.model.batch_shards = lambda shape: shards
+
+
 class TestShardedTraining:
-    def test_pool_matches_serial_bit_for_bit(self):
+    def test_pool_matches_serial_bit_for_bit(self, monkeypatch):
         trainer_a, x, y = _tiny_trainer(seed=5)
         trainer_b, _, _ = _tiny_trainer(seed=5)
-        loss_a = trainer_a._sharded_loss_and_grads(x, y, shards=3, use_pool=True)
-        loss_b = trainer_b._sharded_loss_and_grads(x, y, shards=3, use_pool=False)
+        _shard_into(trainer_a, 3)
+        _shard_into(trainer_b, 3)
+        monkeypatch.setattr(config, "usable_cpus", lambda: 2)
+        loss_a = trainer_a._batch_loss(x, y, backward=True)
+        monkeypatch.setattr(config, "usable_cpus", lambda: 1)
+        loss_b = trainer_b._batch_loss(x, y, backward=True)
         assert loss_a == loss_b
         params_a = trainer_a.optimizer.parameters
         params_b = trainer_b.optimizer.parameters
@@ -271,7 +250,8 @@ class TestShardedTraining:
     def test_sharded_loss_close_to_full_batch(self):
         trainer_a, x, y = _tiny_trainer(seed=7)
         trainer_b, _, _ = _tiny_trainer(seed=7)
-        loss_sharded = trainer_a._sharded_loss_and_grads(x, y, shards=2, use_pool=True)
+        _shard_into(trainer_a, 2)
+        loss_sharded = trainer_a._batch_loss(x, y, backward=True)
         prediction = trainer_b.model(Tensor(x))
         loss_full = trainer_b.loss_fn(prediction, Tensor(y))
         loss_full.backward()
@@ -283,17 +263,24 @@ class TestShardedTraining:
                 continue
             assert np.allclose(param_a.grad, param_b.grad, rtol=1e-8, atol=1e-10)
 
-    def test_num_threads_controls_train_step_path(self):
-        previous = config.num_threads()
-        try:
-            config.set_num_threads(2)
-            trainer_threaded, x, y = _tiny_trainer(seed=9)
-            loss_threaded = trainer_threaded.train_step(x, y)
-            config.set_num_threads(1)
-            trainer_serial, _, _ = _tiny_trainer(seed=9)
-            loss_serial = trainer_serial.train_step(x, y)
-            # Same step, same data: the shard decomposition only reorders
-            # float summation.
-            assert np.isclose(loss_threaded, loss_serial, rtol=1e-9)
-        finally:
-            config.set_num_threads(previous)
+    def test_model_hook_controls_train_step_path(self):
+        def sharded_steps():
+            return _counter_value(obs_metrics.snapshot(), "train_sharded_steps_total")
+
+        trainer_sharded, x, y = _tiny_trainer(seed=9)
+        _shard_into(trainer_sharded, 2)
+        before = sharded_steps()
+        loss_sharded = trainer_sharded.train_step(x, y)
+        assert sharded_steps() == before + 1
+        trainer_serial, _, _ = _tiny_trainer(seed=9)
+        loss_serial = trainer_serial.train_step(x, y)
+        assert sharded_steps() == before + 1
+        # Same step, same data: the shard decomposition only reorders
+        # float summation.
+        assert np.isclose(loss_sharded, loss_serial, rtol=1e-9)
+
+    def test_sharded_validation_matches_full_batch(self):
+        trainer_a, x, y = _tiny_trainer(seed=11)
+        trainer_b, _, _ = _tiny_trainer(seed=11)
+        _shard_into(trainer_a, 2)
+        assert np.isclose(trainer_a.evaluate(x, y), trainer_b.evaluate(x, y), rtol=1e-10)

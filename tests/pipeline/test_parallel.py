@@ -1,8 +1,11 @@
 """The multiprocess sweep executor: identical results, isolated crashes."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.nn import Linear, Trainer
 from repro.nn import config as nn_config
 from repro.pipeline import parallel
 from repro.pipeline.spec import RunSpec
@@ -31,7 +34,6 @@ class TestEngineSnapshot:
     def test_roundtrip(self):
         snapshot = parallel.engine_snapshot()
         assert snapshot["engine_mode"] == nn_config.engine_mode()
-        assert snapshot["num_threads"] == nn_config.num_threads()
         # Applying the snapshot of the current state is a no-op.
         parallel.apply_engine_snapshot(snapshot)
         assert parallel.engine_snapshot() == snapshot
@@ -51,6 +53,19 @@ class TestRunSpecs:
         assert len(serial) == len(fanned) == 2
         for serial_metrics, fanned_metrics in zip(serial, fanned):
             assert serial_metrics == fanned_metrics
+
+    def test_parallel_after_a_pooled_step_matches_serial(self, tiny_dataset, monkeypatch):
+        """Forking while the engine's shard thread is alive stays correct."""
+        if not parallel.fork_available():
+            pytest.skip("platform has no fork start method")
+        monkeypatch.setattr(nn_config, "usable_cpus", lambda: 2)
+        trainer = Trainer(Linear(3, 1, rng=0), loss="mse", seed=0)
+        trainer.model.batch_shards = lambda shape: 2
+        trainer.train_step(np.ones((4, 3)), np.ones((4, 1)))
+        assert any(t.name.startswith("repro-engine") for t in threading.enumerate())
+        specs = _specs([0, 1])
+        fanned = parallel.run_specs(specs, tiny_dataset, jobs=2)
+        assert fanned == parallel.run_specs(specs, tiny_dataset, jobs=1)
 
     def test_single_spec_never_pools(self, tiny_dataset):
         specs = _specs([0])

@@ -7,6 +7,7 @@ no numeric drift — including when one shard is fault-injected into its
 degraded tier.
 """
 
+import http.client
 import json
 import time
 import urllib.error
@@ -17,7 +18,7 @@ import pytest
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
-from repro.serve.gateway import ForecastGateway
+from repro.serve.gateway import MAX_BODY_BYTES, ForecastGateway
 
 from .conftest import make_shard_router
 
@@ -155,6 +156,52 @@ class TestErrorHandling:
         while rejected.value == before and time.monotonic() < waited:
             time.sleep(0.01)
         assert rejected.value == before + 1
+
+    @pytest.mark.parametrize(
+        "content_length, status",
+        [
+            (None, 400),
+            ("many", 400),
+            ("1.5", 400),
+            ("-1", 400),
+            (str(MAX_BODY_BYTES + 1), 413),
+        ],
+        ids=["missing", "non-integer", "fraction", "negative", "over-cap"],
+    )
+    def test_bad_content_length_is_rejected_before_reading(
+        self, gateway_factory, content_length, status
+    ):
+        gateway = gateway_factory()
+        rejected = obs_metrics.counter(
+            "gateway_requests_total", route="/forecast", status=str(status)
+        )
+        before = rejected.value
+        # Headers only: a gateway that tried to read a body would hang here.
+        connection = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=30)
+        try:
+            connection.putrequest("POST", "/forecast")
+            if content_length is not None:
+                connection.putheader("Content-Length", content_length)
+            connection.endheaders()
+            reply = connection.getresponse()
+            assert reply.status == status
+            assert "error" in json.loads(reply.read())
+        finally:
+            connection.close()
+        waited = time.monotonic() + 5.0
+        while rejected.value == before and time.monotonic() < waited:
+            time.sleep(0.01)
+        assert rejected.value == before + 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_window_is_400(self, gateway_factory, raw_windows, bad):
+        gateway = gateway_factory()
+        window = raw_windows[0].tolist()
+        window[0][0][0][0] = bad  # json.dumps writes NaN/Infinity, json.loads reads them
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(f"{gateway.url}/forecast", {"window": window})
+        assert excinfo.value.code == 400
+        assert "finite" in json.loads(excinfo.value.read())["error"]
 
     def test_non_json_body_is_400(self, gateway_factory):
         gateway = gateway_factory()

@@ -106,6 +106,28 @@ class TestScalerRefresh:
         response = service.predict_one(live[-HISTORY:])
         assert response.demand.shape == (HORIZON, 4, 4)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_slot_leaves_store_and_scaler_unchanged(self, bad):
+        # One NaN folded into partial_fit's running min/max used to make
+        # them NaN for good: later clean slots never recovered them.
+        slots = _slots(12)
+        scaler = MinMaxScaler()
+        store = _raw_store(scaler)
+        pipeline = IngestionPipeline(store, update_scaler=True)
+        pipeline.ingest(slots[:6])
+        minimum, maximum = scaler.minimum.copy(), scaler.maximum.copy()
+        poisoned = slots[6:7].copy()
+        poisoned[0, 1, 2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            pipeline.ingest(poisoned)
+        assert store.num_slots == 6
+        assert np.array_equal(scaler.minimum, minimum)
+        assert np.array_equal(scaler.maximum, maximum)
+        pipeline.ingest(slots[6:])
+        reference = MinMaxScaler().fit(slots)
+        assert np.array_equal(scaler.minimum, reference.minimum)
+        assert np.array_equal(scaler.maximum, reference.maximum)
+
     def test_update_scaler_with_unshared_scaler_is_rejected(self):
         store = _raw_store()
         service = _service(MinMaxScaler().fit(_slots(5)))

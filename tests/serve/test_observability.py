@@ -8,6 +8,7 @@ are in flight, and multi-writer run logs staying valid JSONL.
 
 import json
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -225,3 +226,29 @@ class TestRunLogConcurrency:
         thread.join(timeout=5)
         events = read_events(logger.path)
         assert events[-1]["event"] == "run_end"
+
+    def test_no_event_lands_after_run_end(self, tmp_path, monkeypatch):
+        """run_end stays the last line even when a writer races a slow close."""
+        from repro.obs import runlog
+
+        class _SlowActive(list):
+            def remove(self, item):
+                time.sleep(0.001)  # widen close() for the racing writer
+                super().remove(item)
+
+        monkeypatch.setattr(runlog, "_ACTIVE", _SlowActive())
+        for attempt in range(5):
+            logger = RunLogger(str(tmp_path / f"race{attempt}.jsonl")).open()
+            stop = threading.Event()
+
+            def hammer():
+                while not stop.is_set():
+                    logger.event("tick")
+
+            thread = threading.Thread(target=hammer)
+            thread.start()
+            logger.close()
+            stop.set()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            assert read_events(logger.path)[-1]["event"] == "run_end"

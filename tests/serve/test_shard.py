@@ -172,6 +172,16 @@ class TestShardRouterMerge:
             with pytest.raises(ValueError, match="full-grid window"):
                 router.forecast(raw_windows[0][:, :2])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_window_is_rejected(self, serve_dataset, raw_windows, bad):
+        window = raw_windows[0].copy()
+        window[0, 0, 0, 0] = bad
+        with make_shard_router(serve_dataset) as router:
+            before = obs_metrics.counter("serve_router_requests_total").value
+            with pytest.raises(ValueError, match="finite"):
+                router.forecast(window)
+            assert obs_metrics.counter("serve_router_requests_total").value == before
+
     def test_describe_lists_regions_and_tiers(self, serve_dataset):
         with make_shard_router(serve_dataset) as router:
             described = router.describe()
