@@ -1,10 +1,10 @@
 """End-to-end BikeCAP training-step benchmarks (the perf-trajectory anchor).
 
 Times one full optimizer step (zero_grad → forward → L1 loss → backward →
-clip → Adam) on two model sizes, in both engine modes:
+clip → Adam) on two model sizes, in both dtypes (``repro.nn.config.use_dtype``):
 
-- ``precise`` — float64, the substrate default (gradcheck-grade).
-- ``fast`` — float32 via ``repro.nn.config.set_engine_mode("fast")``.
+- ``precise`` — float64, the reference path.
+- ``fast`` — float32, the substrate default.
 
 The module writes ``results/BENCH_train.json`` (``REPRO_BENCH_DIR``
 overrides the directory) containing the measured stats, the frozen pre-PR
@@ -107,12 +107,13 @@ def _bench_snapshot():
     atomic_write_json(os.path.join(directory, "BENCH_train.json"), payload, sort_keys=True)
 
 
+DTYPES = {"precise": np.float64, "fast": np.float32}
+
+
 @pytest.fixture()
-def engine_mode():
-    """Restore precision and caches around each bench."""
-    previous = nn_config.engine_mode()
-    yield nn_config.set_engine_mode
-    nn_config.set_engine_mode(previous)
+def fresh_caches():
+    """Drop the plans each bench built."""
+    yield
     engine.clear_caches()
 
 
@@ -139,9 +140,9 @@ def _make_trainer(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("mode", ["precise", "fast"])
-def test_train_step(benchmark, engine_mode, case, mode):
-    engine_mode(mode)
-    trainer, x, y = _make_trainer(CASES[case])
-    loss = benchmark(lambda: trainer.train_step(x, y))
+def test_train_step(benchmark, fresh_caches, case, mode):
+    with nn_config.use_dtype(DTYPES[mode]):
+        trainer, x, y = _make_trainer(CASES[case])
+        loss = benchmark(lambda: trainer.train_step(x, y))
     _record(benchmark, case, mode)
     assert np.isfinite(loss)

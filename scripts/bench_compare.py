@@ -25,7 +25,7 @@ noise; pass ``--stat min`` to compare best-observed times instead, which is
 far more robust for detecting genuine kernel regressions.
 
 Snapshots may also carry self-describing speedup metadata (the
-``BENCH_model.json`` convention): a ``speedup`` tree of computed ratios, a
+``BENCH_train.json`` convention): a ``speedup`` tree of computed ratios, a
 ``speedup_references`` map explaining *which reference epoch* each ratio's
 denominator suffix refers to (frozen pre-PR timings vs rows of the same
 snapshot — the distinction matters because a frozen reference silently

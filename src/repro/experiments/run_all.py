@@ -61,26 +61,25 @@ def run_all(
     profile_name: str,
     output_dir: str,
     verbose: bool = True,
-    engine: str = None,
+    dtype: Optional[str] = None,
     only: Optional[Sequence[str]] = None,
     resume: bool = False,
     jobs: int = 1,
 ) -> Dict:
     """Run every artifact at the named profile; returns the JSON payload.
 
-    ``engine`` (``fast`` | ``mixed`` | ``precise``) selects the substrate
-    precision for the whole run — ``fast`` trains float32, ``mixed`` adds
-    float64 master weights and dynamic loss scaling (see
-    docs/PERFORMANCE.md). ``only`` restricts to a comma-separated (or
-    listed) subset of registered models; ``resume`` skips finished
+    ``dtype`` (``float32`` | ``float64``) selects the substrate precision
+    for the whole run; ``None`` keeps the process dtype (float32 unless
+    ``REPRO_DTYPE`` says otherwise). ``only`` restricts to a
+    comma-separated (or listed) subset of registered models; ``resume`` skips finished
     artifacts and continues interrupted training from the autosaved
     checkpoints. ``jobs > 1`` trains repeated-seed runs concurrently in
     worker processes with identical results.
     """
     from repro.nn import config as nn_config
 
-    if engine is not None:
-        nn_config.set_engine_mode(engine)
+    if dtype is not None:
+        nn_config.set_dtype(dtype)
     profile = get_profile(profile_name)
     only = _resolve_only(only, profile)
     os.makedirs(output_dir, exist_ok=True)
@@ -93,7 +92,7 @@ def run_all(
 
     payload: Dict = {
         "profile": profile.name,
-        "engine_mode": nn_config.engine_mode(),
+        "dtype": nn_config.dtype().__name__,
     }
     if resume:
         # Carry finished artifacts' numbers over so results.json stays
@@ -104,6 +103,7 @@ def run_all(
                 with open(previous) as handle:
                     stale = json.load(handle)
                 stale.pop("profile", None)
+                stale.pop("dtype", None)
                 stale.pop("engine_mode", None)
                 payload.update(stale)
             except (OSError, ValueError):
@@ -191,12 +191,11 @@ def main() -> None:
     parser.add_argument("--profile", default=None, help="smoke | default | paper (default: env REPRO_PROFILE or smoke)")
     parser.add_argument("--output", default="results", help="output directory")
     parser.add_argument(
-        "--engine",
-        choices=("fast", "mixed", "precise"),
+        "--dtype",
+        choices=("float32", "float64"),
         default=None,
-        help="substrate precision: fast=float32, mixed=float32 compute with "
-        "float64 master weights + dynamic loss scaling, precise=float64 "
-        "(default: env REPRO_ENGINE or precise)",
+        help="substrate precision; the reported tables ran in float64 "
+        "(default: env REPRO_DTYPE or float32)",
     )
     parser.add_argument(
         "--jobs",
@@ -227,7 +226,7 @@ def main() -> None:
         args.profile or os.environ.get("REPRO_PROFILE", "smoke"),
         args.output,
         verbose=not args.quiet,
-        engine=args.engine,
+        dtype=args.dtype,
         only=args.only,
         resume=args.resume,
         jobs=args.jobs,

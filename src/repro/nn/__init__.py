@@ -7,7 +7,7 @@ substitution rationale.
 """
 
 from repro.nn import config, divergence, engine, init, layers, losses, ops, optim
-from repro.nn.config import no_grad, set_dtype, set_engine_mode
+from repro.nn.config import no_grad, set_dtype
 from repro.nn.divergence import DivergenceError
 from repro.nn.gradcheck import check_gradients, gradcheck_module
 from repro.nn.layers import (
@@ -97,6 +97,5 @@ __all__ = [
     "save_checkpoint",
     "save_weights",
     "set_dtype",
-    "set_engine_mode",
     "write_checkpoint",
 ]

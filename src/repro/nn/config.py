@@ -1,31 +1,31 @@
 """Global configuration for the numpy deep-learning substrate.
 
-The substrate defaults to float64 so finite-difference gradient checks are
-reliable; callers that want speed over gradcheck-grade precision can switch
-to float32 via :func:`set_dtype` or the ``fast`` engine mode.
+The substrate computes in float32 by default, like the paper's Keras stack
+(whose ``floatx`` defaults to float32). Float64 is the reference path:
+finite-difference gradient checks always run in it
+(:mod:`repro.nn.gradcheck`), and the reported experiment tables were
+produced in it. :func:`set_dtype`, :func:`use_dtype` or ``REPRO_DTYPE``
+select it; :func:`engine_mode` is a read-only label for the choice.
 
 Whether autograd records graphs is per thread (:func:`no_grad`); every
 other setting is process-wide.
 
-Engine knobs (all overridable by environment variables, read once at
-import) control the execution-plan layer in :mod:`repro.nn.engine`:
+Two knobs, each overridable by an environment variable read once at
+import:
 
 =============================== ======================================== =========
 knob                            environment variable                     default
 =============================== ======================================== =========
-dtype                           ``REPRO_DTYPE`` (float32|float64)        float64
-engine mode                     ``REPRO_ENGINE`` (fast|precise|mixed)    precise
-cross-op fusion on/off          ``REPRO_FUSION`` (1|0)                   1
+dtype                           ``REPRO_DTYPE`` (float32|float64)        float32
 plan cache on/off               ``REPRO_PLAN_CACHE`` (1|0)               1
-initial dynamic loss scale      ``REPRO_LOSS_SCALE``                     65536
-loss-scale growth interval      ``REPRO_LOSS_SCALE_GROWTH_INTERVAL``     200
-minimum loss scale              ``REPRO_LOSS_SCALE_MIN``                 1.0
 =============================== ======================================== =========
 
-Conv dispatch has no knob: :mod:`repro.nn.ops.conv` picks its strategy
-from the kernel volume alone. Threads have none either: a model decides
-how many shards a batch runs as, and the host's usable CPUs decide whether
-those shards run side by side (:func:`num_threads`, docs/PERFORMANCE.md).
+The plan cache gates every identity-keyed cache in :mod:`repro.nn.engine`
+and the fused kernels with them. Conv dispatch has no knob:
+:mod:`repro.nn.ops.conv` picks its strategy from the kernel volume alone.
+Threads have none either: a model decides how many shards a batch runs
+as, and the host's usable CPUs decide whether those shards run side by
+side (:func:`num_threads`, docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -37,13 +37,6 @@ import threading
 import numpy as np
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    return int(raw)
-
-
 def _env_flag(name: str, default: bool) -> bool:
     raw = os.environ.get(name)
     if raw is None or raw == "":
@@ -51,13 +44,8 @@ def _env_flag(name: str, default: bool) -> bool:
     return raw.strip().lower() not in ("0", "false", "no", "off")
 
 
-_DTYPE = np.float64
-_MIXED = False
-_FUSION_ENABLED = _env_flag("REPRO_FUSION", True)
+_DTYPE = np.float32
 _PLAN_CACHE_ENABLED = _env_flag("REPRO_PLAN_CACHE", True)
-_LOSS_SCALE_INIT = float(os.environ.get("REPRO_LOSS_SCALE", "") or 65536.0)
-_LOSS_SCALE_GROWTH_INTERVAL = _env_int("REPRO_LOSS_SCALE_GROWTH_INTERVAL", 200)
-_LOSS_SCALE_MIN = float(os.environ.get("REPRO_LOSS_SCALE_MIN", "") or 1.0)
 
 
 def dtype() -> np.dtype:
@@ -75,45 +63,8 @@ def set_dtype(new_dtype) -> None:
 
 
 def engine_mode() -> str:
-    """``"mixed"``/``"fast"`` for float32 compute, ``"precise"`` for float64."""
-    if _DTYPE is np.float32:
-        return "mixed" if _MIXED else "fast"
-    return "precise"
-
-
-def set_engine_mode(mode: str) -> None:
-    """Sugar over :func:`set_dtype`: ``fast``/``mixed`` → float32, ``precise`` → float64.
-
-    ``mixed`` additionally arms mixed-precision training: optimizers keep
-    float64 master copies of the float32 parameters and the trainer applies
-    dynamic loss scaling (see :mod:`repro.nn.optim`). Must be set *before*
-    models are constructed — parameters adopt the ambient dtype at creation
-    time. Gradient checks always run float64 regardless of this mode
-    (:mod:`repro.nn.gradcheck` pins it).
-    """
-    global _MIXED
-    if mode == "fast":
-        set_dtype(np.float32)
-        _MIXED = False
-    elif mode == "mixed":
-        set_dtype(np.float32)
-        _MIXED = True
-    elif mode == "precise":
-        set_dtype(np.float64)
-        _MIXED = False
-    else:
-        raise ValueError(
-            f"engine mode must be 'fast', 'mixed' or 'precise', got {mode!r}"
-        )
-
-
-def mixed_precision() -> bool:
-    """Whether mixed-precision training (master weights + loss scaling) is on.
-
-    Only meaningful while the compute dtype is float32 — pinning float64
-    (e.g. inside a gradcheck ``use_dtype`` block) suspends it.
-    """
-    return _MIXED and _DTYPE is np.float32
+    """Read-only label for the dtype: ``"fast"`` (float32) or ``"precise"`` (float64)."""
+    return "fast" if _DTYPE is np.float32 else "precise"
 
 
 @contextlib.contextmanager
@@ -166,7 +117,7 @@ def no_grad():
 
 
 # ---------------------------------------------------------------------------
-# Execution-engine knobs (consumed by repro.nn.engine and repro.nn.optim)
+# Execution-engine knobs (consumed by repro.nn.engine)
 # ---------------------------------------------------------------------------
 
 def usable_cpus() -> int:
@@ -187,31 +138,6 @@ def num_threads() -> int:
     return min(2, usable_cpus())
 
 
-def fusion_enabled() -> bool:
-    """Whether cross-op fused kernels (:mod:`repro.nn.fusion`) may be used."""
-    return _FUSION_ENABLED
-
-
-def set_fusion_enabled(enabled: bool) -> None:
-    global _FUSION_ENABLED
-    _FUSION_ENABLED = bool(enabled)
-
-
-def loss_scale_init() -> float:
-    """Initial dynamic loss scale for mixed-precision training."""
-    return _LOSS_SCALE_INIT
-
-
-def loss_scale_growth_interval() -> int:
-    """Consecutive finite steps before the loss scale doubles."""
-    return _LOSS_SCALE_GROWTH_INTERVAL
-
-
-def loss_scale_min() -> float:
-    """Floor below which loss-scale collapse is treated as divergence."""
-    return _LOSS_SCALE_MIN
-
-
 def plan_cache_enabled() -> bool:
     return _PLAN_CACHE_ENABLED
 
@@ -221,10 +147,7 @@ def set_plan_cache_enabled(enabled: bool) -> None:
     _PLAN_CACHE_ENABLED = bool(enabled)
 
 
-# Environment-selected startup state: REPRO_ENGINE wins over REPRO_DTYPE.
+# Environment-selected startup dtype.
 _ENV_DTYPE = os.environ.get("REPRO_DTYPE")
 if _ENV_DTYPE:
     set_dtype(_ENV_DTYPE)
-_ENV_ENGINE = os.environ.get("REPRO_ENGINE")
-if _ENV_ENGINE:
-    set_engine_mode(_ENV_ENGINE)

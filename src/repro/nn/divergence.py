@@ -31,10 +31,6 @@ NON_FINITE_GRAD = "non_finite_grad"
 NON_FINITE_GRAD_NORM = "non_finite_grad_norm"
 NON_FINITE_WEIGHTS = "non_finite_weights"
 LOSS_SPIKE = "loss_spike"
-# Mixed-precision only: the dynamic loss scale backed off below its floor,
-# i.e. gradients overflow even at (near-)unit scale — a real divergence,
-# not a transient overflow the scaler can absorb by skipping a step.
-LOSS_SCALE_FLOOR = "loss_scale_floor"
 
 REASONS = (
     NON_FINITE_LOSS,
@@ -42,7 +38,6 @@ REASONS = (
     NON_FINITE_GRAD_NORM,
     NON_FINITE_WEIGHTS,
     LOSS_SPIKE,
-    LOSS_SCALE_FLOOR,
 )
 
 
@@ -127,7 +122,6 @@ def check_loss(loss: float, step: Optional[int] = None, epoch: Optional[int] = N
 
 __all__ = [
     "DivergenceError",
-    "LOSS_SCALE_FLOOR",
     "LOSS_SPIKE",
     "NON_FINITE_GRAD",
     "NON_FINITE_GRAD_NORM",

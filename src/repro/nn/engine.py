@@ -89,23 +89,15 @@ def no_cache():
     Pure shape-keyed plans (einsum paths) stay active; they are functions
     of the signature alone and cannot go stale. Fused
     kernels (:mod:`repro.nn.fusion`) are also disabled inside the block:
-    although bit-equivalent by construction, the bypass guarantees the
-    gradcheck exercises the exact unfused op graph it differentiates.
+    although bit-equivalent by construction, the bypass makes the block
+    the unfused reference path that gradchecks and the fusion parity
+    tests run.
     """
     _cache_bypass.depth = getattr(_cache_bypass, "depth", 0) + 1
     try:
         yield
     finally:
         _cache_bypass.depth -= 1
-
-
-def fusion_active() -> bool:
-    """Whether fused kernels may replace the unfused op chain right now.
-
-    False whenever the plan cache is bypassed (``no_cache()`` /
-    ``REPRO_PLAN_CACHE=0``) or fusion is disabled (``REPRO_FUSION=0``).
-    """
-    return caches_enabled() and config.fusion_enabled()
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +122,11 @@ def fused_plan(key: Tuple, builder: Callable[[], object]):
 
     ``key[0]`` names the fused kernel kind (``lstm_gates``, ``squash``,
     ``routing``, …) and the rest pins the full shape/dtype signature.
-    Returns ``None`` when fusion is inactive (``no_cache()`` or
-    ``REPRO_FUSION=0``) so call sites fall back to the unfused op chain;
-    hit/miss traffic is exported as ``engine_fusion_cache_*_total``.
+    Returns ``None`` whenever the caches are off (``no_cache()`` or
+    ``REPRO_PLAN_CACHE=0``) so call sites fall back to the unfused op
+    chain; hit/miss traffic is exported as ``engine_fusion_cache_*_total``.
     """
-    if not fusion_active():
+    if not caches_enabled():
         return None
     with _plan_lock:
         plan = _fused_plans.get(key)

@@ -28,7 +28,7 @@ Fused kernels:
   so ``out=`` rewrites here would break bit-parity).
 
 Every kernel consults :func:`repro.nn.engine.fused_plan` first: under
-``engine.no_cache()`` (or ``REPRO_FUSION=0``) the plan lookup returns
+``engine.no_cache()`` (or ``REPRO_PLAN_CACHE=0``) the plan lookup returns
 ``None`` and the caller falls back to the unfused op chain, so in-place
 parameter perturbation (finite-difference gradcheck) never meets a fused
 closure. Layering: this module sits below the model layers and imports

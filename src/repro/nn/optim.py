@@ -9,27 +9,18 @@ weights) can never serve stale data.
 
 The in-place rewrites preserve the exact floating-point operation order of
 the original expressions, so parameter trajectories are bit-identical to the
-allocating implementation.
-
-Mixed precision (``REPRO_ENGINE=mixed``): optimizers built while
-``config.mixed_precision()`` is active keep float64 *master* copies of every
-parameter and run the update arithmetic — moments included — in float64;
-the model's float32 weights are refreshed by downcasting the masters after
-each step, so rounding error does not compound across updates. The masters
-and moments live in the optimizer's state-dict slots, so mixed-mode
-checkpoints round-trip bit-exactly. :class:`GradScaler` provides the
-matching dynamic loss scaling (power-of-two scales, so scaling and
-unscaling are IEEE-exact whenever no overflow occurred).
+allocating implementation. Moments and scratch share each parameter's
+dtype, so a float32 model updates entirely in float32.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 
-from repro.nn import config, engine
-from repro.nn.divergence import LOSS_SCALE_FLOOR, NON_FINITE_GRAD_NORM, DivergenceError
+from repro.nn import engine
+from repro.nn.divergence import NON_FINITE_GRAD_NORM, DivergenceError
 from repro.nn.layers.base import Parameter
 
 
@@ -47,34 +38,6 @@ class Optimizer:
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
         self._scratch: Dict[str, np.ndarray] = {}
-        # Mixed precision: float64 master weights, captured at build time.
-        self._master: Optional[List[np.ndarray]] = (
-            [p.data.astype(np.float64) for p in self.parameters]
-            if config.mixed_precision()
-            else None
-        )
-
-    def _moment_like(self, param: Parameter) -> np.ndarray:
-        """A zeroed state buffer — float64 under mixed precision."""
-        if self._master is not None:
-            return np.zeros(param.data.shape, dtype=np.float64)
-        return np.zeros_like(param.data)
-
-    def _update_target(self, index: int, param: Parameter):
-        """(target, grad) for the update arithmetic.
-
-        Plain modes update ``param.data`` with the gradient as-is; mixed
-        precision updates the float64 master with an upcast gradient.
-        """
-        if self._master is None:
-            return param.data, param.grad
-        master = self._master[index]
-        return master, param.grad.astype(master.dtype)
-
-    def _writeback(self, index: int, param: Parameter) -> None:
-        """Downcast the updated master into the model's float32 weight."""
-        if self._master is not None:
-            param.data[...] = self._master[index]
 
     def zero_grad(self) -> None:
         for param in self.parameters:
@@ -88,12 +51,8 @@ class Optimizer:
         return {}
 
     def _slots(self) -> Dict[str, List[np.ndarray]]:
-        """Per-parameter state buffers, keyed by slot name.
-
-        Subclasses extend the base dict, which carries the mixed-precision
-        master weights (when active) so checkpoints round-trip them.
-        """
-        return {"master": self._master} if self._master is not None else {}
+        """Per-parameter state buffers, keyed by slot name."""
+        return {}
 
     def state_dict(self) -> Dict:
         """Everything needed to continue stepping exactly where we left off."""
@@ -136,12 +95,10 @@ class Optimizer:
         if hasattr(self, "_step_count"):
             self._step_count = int(state.get("step_count", 0))
 
-    def _scratch_for(self, param: Parameter, slot: str, dtype=None) -> np.ndarray:
+    def _scratch_for(self, param: Parameter, slot: str) -> np.ndarray:
         """A reusable scratch view shaped like ``param`` (one flat buffer per
-        dtype and slot, grown to the largest parameter seen). ``dtype``
-        overrides the buffer dtype (mixed precision computes in float64
-        scratch regardless of the parameter's storage dtype)."""
-        dtype = np.dtype(dtype if dtype is not None else param.data.dtype)
+        dtype and slot, grown to the largest parameter seen)."""
+        dtype = param.data.dtype
         key = f"{slot}:{dtype.str}"
         flat = self._scratch.get(key)
         if flat is None or flat.size < param.data.size:
@@ -161,35 +118,31 @@ class SGD(Optimizer):
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity = [self._moment_like(p) for p in self.parameters]
+        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
 
     def _hyper(self) -> Dict[str, float]:
         return {"lr": self.lr, "momentum": self.momentum, "weight_decay": self.weight_decay}
 
     def _slots(self) -> Dict[str, List[np.ndarray]]:
-        slots = super()._slots()
-        slots["velocity"] = self._velocity
-        return slots
+        return {"velocity": self._velocity}
 
     def step(self) -> None:
-        for index, (param, velocity) in enumerate(zip(self.parameters, self._velocity)):
+        for param, velocity in zip(self.parameters, self._velocity):
             if param.grad is None:
                 continue
-            target, grad = self._update_target(index, param)
-            compute_dtype = target.dtype
+            grad = param.grad
             if self.weight_decay:
-                scaled = self._scratch_for(param, "wd", dtype=compute_dtype)
-                np.multiply(target, self.weight_decay, out=scaled)
+                scaled = self._scratch_for(param, "wd")
+                np.multiply(param.data, self.weight_decay, out=scaled)
                 scaled += grad
                 grad = scaled
             if self.momentum:
                 velocity *= self.momentum
                 velocity += grad
                 grad = velocity
-            update = self._scratch_for(param, "update", dtype=compute_dtype)
+            update = self._scratch_for(param, "update")
             np.multiply(grad, self.lr, out=update)
-            target -= update
-            self._writeback(index, param)
+            param.data -= update
         engine.bump_weight_version()
 
 
@@ -212,8 +165,8 @@ class Adam(Optimizer):
         self.epsilon = epsilon
         self.weight_decay = weight_decay
         self._step_count = 0
-        self._m = [self._moment_like(p) for p in self.parameters]
-        self._v = [self._moment_like(p) for p in self.parameters]
+        self._m = [np.zeros_like(p.data) for p in self.parameters]
+        self._v = [np.zeros_like(p.data) for p in self.parameters]
 
     def _hyper(self) -> Dict[str, float]:
         return {
@@ -225,26 +178,22 @@ class Adam(Optimizer):
         }
 
     def _slots(self) -> Dict[str, List[np.ndarray]]:
-        slots = super()._slots()
-        slots["m"] = self._m
-        slots["v"] = self._v
-        return slots
+        return {"m": self._m, "v": self._v}
 
     def step(self) -> None:
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        for index, (param, m, v) in enumerate(zip(self.parameters, self._m, self._v)):
+        for param, m, v in zip(self.parameters, self._m, self._v):
             if param.grad is None:
                 continue
-            target, grad = self._update_target(index, param)
-            compute_dtype = target.dtype
+            grad = param.grad
             if self.weight_decay:
-                scaled = self._scratch_for(param, "wd", dtype=compute_dtype)
-                np.multiply(target, self.weight_decay, out=scaled)
+                scaled = self._scratch_for(param, "wd")
+                np.multiply(param.data, self.weight_decay, out=scaled)
                 scaled += grad
                 grad = scaled
-            tmp = self._scratch_for(param, "tmp", dtype=compute_dtype)
+            tmp = self._scratch_for(param, "tmp")
             # m = beta1*m + (1-beta1)*grad
             np.multiply(grad, 1.0 - self.beta1, out=tmp)
             m *= self.beta1
@@ -255,115 +204,15 @@ class Adam(Optimizer):
             v *= self.beta2
             v += tmp
             # param -= lr * (m/bias1) / (sqrt(v/bias2) + eps)
-            denom = self._scratch_for(param, "denom", dtype=compute_dtype)
+            denom = self._scratch_for(param, "denom")
             np.divide(v, bias2, out=denom)
             np.sqrt(denom, out=denom)
             denom += self.epsilon
             np.divide(m, bias1, out=tmp)
             tmp *= self.lr
             tmp /= denom
-            target -= tmp
-            self._writeback(index, param)
+            param.data -= tmp
         engine.bump_weight_version()
-
-
-class GradScaler:
-    """Dynamic loss scaling for ``REPRO_ENGINE=mixed`` training.
-
-    The loss is multiplied by a power-of-two scale before ``backward`` so
-    small float32 gradients survive; gradients are divided by the same
-    scale before the optimizer step. Power-of-two scaling is IEEE-exact
-    (it only adjusts exponents), so whenever no overflow occurs the
-    unscaled gradients are bit-identical to an unscaled backward pass.
-
-    On overflow (any non-finite gradient) the step is *skipped*: gradients
-    are dropped, the scale is halved, and training continues — this is the
-    normal self-calibration of dynamic scaling, not a divergence, so the
-    caller reports the (finite) unscaled loss and the
-    ``repro.resilience`` sentinel is never tripped. Only when the scale
-    would fall below ``min_scale`` — gradients overflowing even at
-    (near-)unit scale — does :meth:`backoff` raise a
-    :class:`~repro.nn.divergence.DivergenceError` (``loss_scale_floor``)
-    for the recovery policy to handle. After ``growth_interval``
-    consecutive good steps the scale doubles again.
-
-    State round-trips through :meth:`state_dict` / :meth:`load_state_dict`
-    (the Trainer stores it in its checkpoint's ``extra`` payload).
-    """
-
-    def __init__(
-        self,
-        init_scale: Optional[float] = None,
-        growth_factor: float = 2.0,
-        backoff_factor: float = 0.5,
-        growth_interval: Optional[int] = None,
-        min_scale: Optional[float] = None,
-    ):
-        self.scale = float(
-            config.loss_scale_init() if init_scale is None else init_scale
-        )
-        self.growth_factor = float(growth_factor)
-        self.backoff_factor = float(backoff_factor)
-        self.growth_interval = int(
-            config.loss_scale_growth_interval() if growth_interval is None else growth_interval
-        )
-        self.min_scale = float(config.loss_scale_min() if min_scale is None else min_scale)
-        self.good_steps = 0
-        self.overflow_steps = 0
-
-    def scale_loss(self, loss):
-        """Scaled loss tensor to call ``backward`` on (autograd multiply)."""
-        from repro.nn import ops
-
-        return ops.mul(loss, self.scale)
-
-    def found_overflow(self, parameters: Iterable[Parameter]) -> bool:
-        """True when any live gradient contains a non-finite value."""
-        return any(
-            p.grad is not None and not np.all(np.isfinite(p.grad))
-            for p in parameters
-        )
-
-    def unscale_(self, parameters: Iterable[Parameter]) -> None:
-        """Divide live gradients by the scale, in place (IEEE-exact)."""
-        inv = 1.0 / self.scale
-        for param in parameters:
-            if param.grad is not None:
-                param.grad *= inv
-
-    def backoff(self, step: Optional[int] = None, epoch: Optional[int] = None) -> None:
-        """Record an overflow-skipped step and halve the scale."""
-        self.overflow_steps += 1
-        self.good_steps = 0
-        next_scale = self.scale * self.backoff_factor
-        if next_scale < self.min_scale:
-            raise DivergenceError(
-                LOSS_SCALE_FLOOR,
-                f"loss scale {self.scale:g} cannot back off below floor {self.min_scale:g}",
-                step=step,
-                epoch=epoch,
-                value=self.scale,
-            )
-        self.scale = next_scale
-
-    def update(self) -> None:
-        """Record a good step; grow the scale on schedule."""
-        self.good_steps += 1
-        if self.growth_interval > 0 and self.good_steps >= self.growth_interval:
-            self.scale *= self.growth_factor
-            self.good_steps = 0
-
-    def state_dict(self) -> Dict[str, float]:
-        return {
-            "scale": self.scale,
-            "good_steps": self.good_steps,
-            "overflow_steps": self.overflow_steps,
-        }
-
-    def load_state_dict(self, state: Dict[str, float]) -> None:
-        self.scale = float(state.get("scale", self.scale))
-        self.good_steps = int(state.get("good_steps", 0))
-        self.overflow_steps = int(state.get("overflow_steps", 0))
 
 
 OPTIMIZERS: Dict[str, type] = {"adam": Adam, "sgd": SGD}

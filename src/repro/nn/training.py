@@ -31,7 +31,7 @@ from repro.nn import config, engine, serialization
 from repro.nn.divergence import DivergenceError
 from repro.nn.layers.base import Module
 from repro.nn.losses import get_loss
-from repro.nn.optim import Adam, GradScaler, Optimizer, clip_grad_norm, make_optimizer
+from repro.nn.optim import Adam, Optimizer, clip_grad_norm, make_optimizer
 from repro.nn.tensor import Tensor
 from repro.obs import metrics as obs_metrics
 from repro.obs import runlog, tracing
@@ -159,10 +159,6 @@ class Trainer:
         # epoch end; repro.resilience rolls back to it after a divergence
         # without requiring a checkpoint file.
         self.last_checkpoint: Optional[serialization.TrainingCheckpoint] = None
-        # Mixed precision: dynamic loss scaling (see optim.GradScaler).
-        self.scaler: Optional[GradScaler] = (
-            GradScaler() if config.mixed_precision() else None
-        )
 
     def _run_info(self, epochs: int, train_count: int, val_count: int) -> Dict:
         return {
@@ -364,8 +360,6 @@ class Trainer:
     ) -> serialization.TrainingCheckpoint:
         """Snapshot this trainer's exact position as an in-memory checkpoint."""
         payload = {"seed": self.seed}
-        if self.scaler is not None:
-            payload["scaler"] = self.scaler.state_dict()
         if extra:
             payload.update(extra)
         return serialization.build_checkpoint(
@@ -414,9 +408,6 @@ class Trainer:
             checkpoint.restore_optimizer(self.optimizer)
         if checkpoint.rng_state is not None:
             seeding.set_state(self.rng, checkpoint.rng_state)
-        scaler_state = (checkpoint.extra or {}).get("scaler")
-        if self.scaler is not None and scaler_state:
-            self.scaler.load_state_dict(scaler_state)
         return checkpoint.epoch, checkpoint.best_val, checkpoint.stale, checkpoint.best_state
 
     def train_step(self, batch_x: np.ndarray, batch_y: np.ndarray) -> float:
@@ -425,44 +416,14 @@ class Trainer:
         The batch runs as one piece or as shards, as the model's
         ``batch_shards`` hook decides (:meth:`_batch_loss`); a one-shard
         model takes the plain serial step, bit for bit.
-
-        Under mixed precision (``self.scaler`` set) the backward pass runs
-        on the scaled loss; an overflowed step is skipped (gradients
-        dropped, scale halved) and the *finite* unscaled batch loss is
-        returned, so a skipped step never trips the divergence sentinel.
         """
         self.optimizer.zero_grad()
         loss_value = self._batch_loss(batch_x, batch_y, backward=True)
         faults.poison_gradients(self.optimizer.parameters)
-        if self._overflow_skipped():
-            return loss_value
         if self.max_grad_norm is not None:
             clip_grad_norm(self.optimizer.parameters, self.max_grad_norm)
         self.optimizer.step()
-        if self.scaler is not None:
-            self.scaler.update()
         return loss_value
-
-    def _overflow_skipped(self) -> bool:
-        """Mixed precision only: skip the step when gradients overflowed.
-
-        On overflow the gradients are dropped and the loss scale halved
-        (``GradScaler.backoff`` raises ``loss_scale_floor`` once the scale
-        cannot back off further). Otherwise gradients are unscaled in
-        place, ready for clipping and the optimizer step.
-        """
-        if self.scaler is None:
-            return False
-        if not self.scaler.found_overflow(self.optimizer.parameters):
-            self.scaler.unscale_(self.optimizer.parameters)
-            obs_metrics.gauge("amp_loss_scale").set(self.scaler.scale)
-            return False
-        self.optimizer.zero_grad()
-        self.scaler.backoff()
-        obs_metrics.counter("amp_overflow_steps_total").inc()
-        obs_metrics.gauge("amp_loss_scale").set(self.scaler.scale)
-        runlog.emit("amp_overflow", scale=self.scaler.scale)
-        return True
 
     def _batch_loss(
         self, batch_x: np.ndarray, batch_y: np.ndarray, backward: bool
@@ -484,7 +445,7 @@ class Trainer:
             prediction = self.model(Tensor(batch_x))
             loss = self.loss_fn(prediction, Tensor(batch_y))
             if backward:
-                self._backprop_root(loss).backward()
+                loss.backward()
             return float(loss.data)
 
         def run_shard(part: slice):
@@ -492,7 +453,7 @@ class Trainer:
             loss = self.loss_fn(prediction, Tensor(batch_y[part]))
             sink: Dict = {}
             if backward:
-                self._backprop_root(loss).backward(sink=sink)
+                loss.backward(sink=sink)
             return float(loss.data), sink
 
         results = engine.run_shards([functools.partial(run_shard, part) for part in slices])
@@ -513,10 +474,6 @@ class Trainer:
                 if total is not None:
                     param.grad = total if param.grad is None else param.grad + total
         return loss_value
-
-    def _backprop_root(self, loss: Tensor) -> Tensor:
-        """What backward starts from: the loss, scaled under mixed precision."""
-        return self.scaler.scale_loss(loss) if self.scaler is not None else loss
 
     def evaluate(self, inputs: np.ndarray, targets: np.ndarray) -> float:
         """Mean loss over a dataset without building autograd graphs.

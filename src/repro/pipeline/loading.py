@@ -4,7 +4,7 @@
 evaluate); this module is its online counterpart: given the :class:`RunSpec`
 that produced a run and the checkpoint it autosaved, reconstruct the exact
 forecaster so a serving process can answer requests without ever touching
-the training loop. The spec's engine mode/dtype are applied while the model
+the training loop. The spec's dtype is applied while the model
 is constructed (parameters adopt the ambient dtype at creation time), and
 the checkpoint's weights are restored with the same strict name/shape
 validation the trainer uses.

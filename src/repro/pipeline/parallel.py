@@ -18,9 +18,9 @@ Design constraints the implementation follows:
   metric dicts out. On platforms without ``fork`` the sweep silently runs
   serially — same results, no worker processes.
 - **Engine config travels with the job.** Each worker re-applies the
-  parent's engine snapshot (mode/dtype/precision, fusion, plan-cache
-  flag) before its first run, so a ``--engine mixed`` sweep is mixed in
-  every worker even if the pool outlives a config change in the parent.
+  parent's engine snapshot (dtype, plan-cache flag) before its first run,
+  so a ``--dtype float64`` sweep is float64 in every worker even if the
+  pool outlives a config change in the parent.
 - **Crash isolation.** A worker that raises — or dies outright, taking the
   pool with it — fails only its own runs; the parent retries each failed
   spec serially, with ``resume=True`` when a checkpoint directory is
@@ -55,18 +55,14 @@ _FORK_CONTEXT: Dict[str, Any] = {}
 def engine_snapshot() -> Dict[str, Any]:
     """The engine configuration a worker must replicate to match the parent."""
     return {
-        "engine_mode": nn_config.engine_mode(),
         "dtype": np.dtype(nn_config.dtype()).str,
-        "fusion": nn_config.fusion_enabled(),
         "plan_cache": nn_config.plan_cache_enabled(),
     }
 
 
 def apply_engine_snapshot(snapshot: Dict[str, Any]) -> None:
     """Re-apply a parent's :func:`engine_snapshot` in this process."""
-    nn_config.set_engine_mode(snapshot["engine_mode"])
     nn_config.set_dtype(snapshot["dtype"])
-    nn_config.set_fusion_enabled(snapshot["fusion"])
     nn_config.set_plan_cache_enabled(snapshot["plan_cache"])
 
 

@@ -1,7 +1,7 @@
 """Execute a :class:`~repro.pipeline.spec.RunSpec` against a dataset.
 
 ``execute`` is the one funnel every experiment goes through: it builds the
-model from the registry, applies the spec's engine configuration, opens a
+model from the registry, applies the spec's dtype, opens a
 structured run log and a tracing span, trains with optional full-state
 checkpointing/resume, and evaluates on the test split. Experiment scripts
 never touch forecaster classes directly — they describe runs as specs and
@@ -43,20 +43,11 @@ class RunResult:
     resilience: Optional[Dict[str, Any]] = None
 
 
-@contextlib.contextmanager
 def _engine_overrides(spec: RunSpec):
-    """Temporarily apply the spec's engine mode / dtype, if any."""
-    previous_mode = nn_config.engine_mode()
-    previous_dtype = nn_config.dtype()
-    try:
-        if spec.engine_mode is not None:
-            nn_config.set_engine_mode(spec.engine_mode)
-        if spec.dtype is not None:
-            nn_config.set_dtype(spec.dtype)
-        yield
-    finally:
-        nn_config.set_engine_mode(previous_mode)
-        nn_config.set_dtype(previous_dtype)
+    """Pin the spec's dtype for the block, if it names one."""
+    if spec.dtype is None:
+        return contextlib.nullcontext()
+    return nn_config.use_dtype(spec.dtype)
 
 
 def run_config(spec: RunSpec, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:

@@ -2,7 +2,7 @@
 
 A :class:`RunSpec` is the single serializable description of one training
 run: which registered model, which window geometry, how long to train, the
-optimizer settings, the engine configuration and the seed. Experiment
+optimizer settings, the dtype and the seed. Experiment
 scripts build specs; :func:`repro.pipeline.runner.execute` turns a spec
 plus a dataset into a trained, evaluated forecaster. Because a spec
 round-trips through a plain dict (and JSON), every run log can embed the
@@ -27,8 +27,8 @@ class RunSpec:
     against the dataset at execution time (a mismatched spec fails loudly
     instead of silently training on different windows than it claims).
     ``hparams`` are passed to the registered factory on top of its declared
-    defaults; ``engine_mode``/``dtype`` of ``None`` mean "use the process
-    globals" (see :mod:`repro.nn.config`).
+    defaults; ``dtype`` of ``None`` means "use the process dtype" (see
+    :mod:`repro.nn.config`).
     """
 
     model: str
@@ -37,7 +37,6 @@ class RunSpec:
     epochs: int = 10
     seed: int = 0
     hparams: Dict[str, Any] = field(default_factory=dict)
-    engine_mode: Optional[str] = None
     dtype: Optional[str] = None
     tag: Optional[str] = None
     # Divergence-recovery options (repro.resilience.RecoveryPolicy.from_dict

@@ -152,10 +152,12 @@ class ShardReport:
     skips: Tuple[str, ...] = ()
     failed: bool = False
     error: Optional[str] = None
+    generation: Optional[int] = None  # the shard's serving generation; None if it failed
 
     def as_dict(self) -> dict:
         return {
             "shard": self.shard,
+            "generation": self.generation,
             "tier": self.tier,
             "degraded": self.degraded,
             "deadline_missed": self.deadline_missed,
@@ -176,6 +178,9 @@ class ShardedResponse:
     latency_seconds: float  # scatter → last gather, as the caller saw it
     shards: Tuple[ShardReport, ...] = ()
     failed_shards: Tuple[str, ...] = ()
+    # The trace this answer belongs to (the gateway.request's, behind the
+    # gateway); None unless tracing was recording.
+    trace_id: Optional[str] = None
 
     @property
     def tier(self) -> str:
@@ -191,6 +196,7 @@ class ShardedResponse:
             "latency_seconds": self.latency_seconds,
             "shards": [report.as_dict() for report in self.shards],
             "failed_shards": list(self.failed_shards),
+            "trace_id": self.trace_id,
         }
 
 
@@ -327,7 +333,7 @@ class ShardRouter:
             raise ValueError("window must hold finite values only (got NaN or inf)")
         began = self._clock()
         obs_metrics.counter("serve_router_requests_total").inc()
-        with tracing.span("serve.route", shards=len(self.regions)):
+        with tracing.span("serve.route", shards=len(self.regions)) as route_span:
             futures = []
             for region in self.regions:
                 obs_metrics.counter(
@@ -380,6 +386,7 @@ class ShardRouter:
                         deadline_missed=response.deadline_missed,
                         latency_seconds=response.latency_seconds,
                         skips=response.skips,
+                        generation=response.generation,
                     )
                 )
 
@@ -391,6 +398,7 @@ class ShardRouter:
             latency_seconds=latency,
             shards=tuple(reports),
             failed_shards=tuple(failed),
+            trace_id=route_span.context.trace_id if route_span.context else None,
         )
         if merged.degraded:
             obs_metrics.counter("serve_router_degraded_total").inc()

@@ -25,6 +25,27 @@ def _runlog_tmpdir(tmp_path_factory):
         os.environ[runlog.RUNLOG_DIR_ENV] = previous
 
 
+@pytest.fixture(autouse=True)
+def _engine_state_guard():
+    """Fail any test that leaves the substrate's dtype, grad flag or plan cache changed.
+
+    A leaked dtype would silently run every later test file in it.
+    """
+    from repro.nn import config
+
+    before = (config.dtype(), config.grad_enabled(), config.plan_cache_enabled())
+    yield
+    after = (config.dtype(), config.grad_enabled(), config.plan_cache_enabled())
+    if after != before:
+        config.set_dtype(before[0])
+        config.set_grad_enabled(before[1])
+        config.set_plan_cache_enabled(before[2])
+        pytest.fail(
+            "test left engine state changed: (dtype, grad_enabled, plan_cache) "
+            f"was {before}, now {after}"
+        )
+
+
 @pytest.fixture(scope="session")
 def tiny_city():
     """A seconds-scale city shared by every suite that needs records."""

@@ -16,6 +16,7 @@ from repro.core import (
     make_variant,
 )
 from repro.nn import Tensor, Trainer, l1_loss
+from repro.nn.config import use_dtype
 
 
 def small_config(**overrides):
@@ -120,6 +121,36 @@ class TestTraining:
             name for name, p in model.named_parameters() if p.grad is None or not np.any(p.grad)
         ]
         assert not missing, f"dead parameters: {missing}"
+
+
+class TestFloat32Parity:
+    def test_step_matches_float64_reference(self):
+        """Float32 is the default; float64 is the reference it must track.
+
+        Two Adam steps (MSE, no clipping) from the same seed and batch. The
+        losses and the first step's gradient agree to a few float32 ulps
+        (measured: 0.2-0.4 eps); 32 eps leaves room for other BLAS builds.
+        """
+        cfg = small_config(grid=(6, 6), history=6, features=4, pyramid_size=3)
+        rng = np.random.default_rng(3)
+        x = rng.random((8, 6, 6, 6, 4))
+        y = rng.random((8, 3, 6, 6))
+        runs = {}
+        for dtype in (np.float64, np.float32):
+            with use_dtype(dtype):
+                trainer = Trainer(BikeCAP(cfg), loss="mse", seed=0, max_grad_norm=None)
+                first = trainer.train_step(x.astype(dtype), y.astype(dtype))
+                grad = np.concatenate(
+                    [p.grad.ravel() for p in trainer.optimizer.parameters]
+                ).astype(np.float64)
+                second = trainer.train_step(x.astype(dtype), y.astype(dtype))
+                assert trainer.optimizer.parameters[0].data.dtype == dtype
+            runs[dtype] = (first, grad, second)
+        (ref_first, ref_grad, ref_second), (first, grad, second) = runs[np.float64], runs[np.float32]
+        bound = 32 * float(np.finfo(np.float32).eps)
+        assert abs(first - ref_first) <= bound * ref_first
+        assert np.linalg.norm(grad - ref_grad) <= bound * np.linalg.norm(ref_grad)
+        assert abs(second - ref_second) <= bound * ref_second
 
 
 class TestVariants:

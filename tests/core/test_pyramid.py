@@ -5,6 +5,37 @@ import pytest
 
 from repro.core import PyramidConv3D, pyramid_cell_count, pyramid_mask
 from repro.nn import Tensor
+from repro.nn.config import use_dtype
+
+# Relative roundoff of one float32 operation. The pyramid conv runs through
+# FFTs, whose roundoff spreads over the whole transform: an input change of
+# size d moves every output by up to about eps * d * sum|w|, not only the
+# outputs the kernel reaches.
+EPS32 = float(np.finfo(np.float32).eps)
+
+
+def _future_perturbation(rng):
+    """Outputs before and after adding 100 to time slots 4 and 5, and the bound
+    ``eps * 100 * sum|w|`` on what float32 roundoff may move past slots by."""
+    layer = PyramidConv3D(1, 2, size=3, rng=0)
+    base = rng.standard_normal((1, 1, 6, 4, 4))
+    perturbed = base.copy()
+    perturbed[0, 0, 4:] += 100.0  # change only time slots 4, 5
+    out_base = layer(Tensor(base)).data
+    out_perturbed = layer(Tensor(perturbed)).data
+    bound = EPS32 * 100.0 * float(np.abs(layer.weight.data).sum())
+    return out_base, out_perturbed, bound
+
+
+def _impulse_response():
+    """Response to a unit impulse at time 3, two cells from the centre (3, 3),
+    and the float32 roundoff bound ``eps * 1 * sum|w|``."""
+    layer = PyramidConv3D(1, 1, size=3, rng=0)
+    layer.bias.data[...] = 0.0
+    near_in_time = np.zeros((1, 1, 6, 7, 7))
+    near_in_time[0, 0, 3, 3, 5] = 1.0
+    out = layer(Tensor(near_in_time)).data
+    return out, EPS32 * float(np.abs(layer.weight.data).sum())
 
 
 class TestPyramidMask:
@@ -53,26 +84,23 @@ class TestPyramidConv3D:
 
     def test_causality_future_does_not_leak_backward(self, rng):
         """Output at time t must not depend on inputs at times > t."""
-        layer = PyramidConv3D(1, 2, size=3, rng=0)
-        base = rng.standard_normal((1, 1, 6, 4, 4))
-        perturbed = base.copy()
-        perturbed[0, 0, 4:] += 100.0  # change only time slots 4, 5
-        out_base = layer(Tensor(base)).data
-        out_perturbed = layer(Tensor(perturbed)).data
+        with use_dtype(np.float64):
+            out_base, out_perturbed, _ = _future_perturbation(rng)
         # Slots 0..3 must be identical; slot 4 (and 5) may differ.
         assert np.allclose(out_base[:, :, :4], out_perturbed[:, :, :4])
         assert not np.allclose(out_base[:, :, 4:], out_perturbed[:, :, 4:])
 
+    def test_causality_in_float32_within_fft_roundoff(self, rng):
+        with use_dtype(np.float32):
+            out_base, out_perturbed, bound = _future_perturbation(rng)
+        assert np.abs(out_base[:, :, :4] - out_perturbed[:, :, :4]).max() <= bound
+        assert np.abs(out_base[:, :, 4:] - out_perturbed[:, :, 4:]).max() > 1.0
+
     def test_receptive_field_widens_with_age(self, rng):
         """A spatial cell 2 steps away influences the target only through
         slices >= 2 slots old — the pyramid's defining property."""
-        layer = PyramidConv3D(1, 1, size=3, rng=0)
-        layer.bias.data[...] = 0.0
-        base = np.zeros((1, 1, 6, 7, 7))
-        # Impulse at time 3, two cells away from center (3, 3).
-        near_in_time = base.copy()
-        near_in_time[0, 0, 3, 3, 5] = 1.0
-        out = layer(Tensor(near_in_time)).data
+        with use_dtype(np.float64):
+            out, _ = _impulse_response()
         # At output time 3 (offset 0 → 1x1 kernel): no influence possible.
         # (The FFT convolution path leaves ~1e-14 roundoff, not exact zeros.)
         assert abs(out[0, 0, 3, 3, 3]) < 1e-10
@@ -80,6 +108,13 @@ class TestPyramidConv3D:
         assert abs(out[0, 0, 4, 3, 3]) < 1e-10
         # At output time 5 (offset 2 → 5x5): inside the pyramid base.
         assert abs(out[0, 0, 5, 3, 3]) > 1e-6
+
+    def test_receptive_field_in_float32_within_fft_roundoff(self):
+        with use_dtype(np.float32):
+            out, bound = _impulse_response()
+        assert abs(out[0, 0, 3, 3, 3]) <= bound
+        assert abs(out[0, 0, 4, 3, 3]) <= bound
+        assert abs(out[0, 0, 5, 3, 3]) > 1e-3
 
     def test_masked_weights_never_update(self, rng):
         layer = PyramidConv3D(1, 2, size=2, rng=0)

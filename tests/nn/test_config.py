@@ -11,14 +11,21 @@ from repro.nn import config
 
 @pytest.fixture(autouse=True)
 def restore_config():
+    previous = config.dtype()
     yield
-    config.set_dtype(np.float64)
+    config.set_dtype(previous)
     config.set_grad_enabled(True)
 
 
 class TestDtype:
-    def test_default_is_float64(self):
-        assert Tensor([1.0]).dtype == np.float64
+    def test_default_is_float32(self):
+        assert Tensor([1.0]).dtype == np.float32
+        assert config.engine_mode() == "fast"
+
+    def test_engine_mode_labels_the_dtype(self):
+        with config.use_dtype(np.float64):
+            assert config.engine_mode() == "precise"
+        assert config.engine_mode() == "fast"
 
     def test_switch_to_float32(self):
         config.set_dtype(np.float32)

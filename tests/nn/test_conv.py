@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Tensor, ops
+from repro.nn.config import use_dtype
 from repro.nn.gradcheck import check_gradients
 from repro.nn.ops.conv import (
     conv3d_forward,
@@ -174,7 +175,9 @@ class TestConv2D:
     def test_matches_conv3d_with_unit_depth(self, rng):
         x = rng.standard_normal((2, 3, 5, 5))
         w = rng.standard_normal((4, 3, 3, 3))
-        out2d = ops.conv2d(Tensor(x), Tensor(w), padding=1).data
+        # Against the float64 conv3d kernel, so run conv2d in float64 too.
+        with use_dtype(np.float64):
+            out2d = ops.conv2d(Tensor(x), Tensor(w), padding=1).data
         out3d = conv3d_forward(
             x[:, :, None], w[:, :, None], (1, 1, 1), ((0, 0), (1, 1), (1, 1))
         )[:, :, 0]

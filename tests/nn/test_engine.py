@@ -248,13 +248,15 @@ class TestShardedTraining:
             assert np.array_equal(param_a.grad, param_b.grad)
 
     def test_sharded_loss_close_to_full_batch(self):
-        trainer_a, x, y = _tiny_trainer(seed=7)
-        trainer_b, _, _ = _tiny_trainer(seed=7)
-        _shard_into(trainer_a, 2)
-        loss_sharded = trainer_a._batch_loss(x, y, backward=True)
-        prediction = trainer_b.model(Tensor(x))
-        loss_full = trainer_b.loss_fn(prediction, Tensor(y))
-        loss_full.backward()
+        # Summation order is all that differs; rtol 1e-10 is a float64 bound.
+        with config.use_dtype(np.float64):
+            trainer_a, x, y = _tiny_trainer(seed=7)
+            trainer_b, _, _ = _tiny_trainer(seed=7)
+            _shard_into(trainer_a, 2)
+            loss_sharded = trainer_a._batch_loss(x, y, backward=True)
+            prediction = trainer_b.model(Tensor(x))
+            loss_full = trainer_b.loss_fn(prediction, Tensor(y))
+            loss_full.backward()
         assert np.isclose(loss_sharded, float(loss_full.data), rtol=1e-10)
         for param_a, param_b in zip(
             trainer_a.optimizer.parameters, trainer_b.optimizer.parameters
@@ -267,13 +269,15 @@ class TestShardedTraining:
         def sharded_steps():
             return _counter_value(obs_metrics.snapshot(), "train_sharded_steps_total")
 
-        trainer_sharded, x, y = _tiny_trainer(seed=9)
-        _shard_into(trainer_sharded, 2)
-        before = sharded_steps()
-        loss_sharded = trainer_sharded.train_step(x, y)
-        assert sharded_steps() == before + 1
-        trainer_serial, _, _ = _tiny_trainer(seed=9)
-        loss_serial = trainer_serial.train_step(x, y)
+        # float64: the loss comparison below is to rtol 1e-9.
+        with config.use_dtype(np.float64):
+            trainer_sharded, x, y = _tiny_trainer(seed=9)
+            _shard_into(trainer_sharded, 2)
+            before = sharded_steps()
+            loss_sharded = trainer_sharded.train_step(x, y)
+            assert sharded_steps() == before + 1
+            trainer_serial, _, _ = _tiny_trainer(seed=9)
+            loss_serial = trainer_serial.train_step(x, y)
         assert sharded_steps() == before + 1
         # Same step, same data: the shard decomposition only reorders
         # float summation.

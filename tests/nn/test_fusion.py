@@ -2,8 +2,9 @@
 
 The fused kernels are pure executors: every one must produce outputs *and*
 gradients that are bit-identical (``np.array_equal``, no tolerance) to the
-unfused autograd graph it replaces, in float64 precise mode. Two facts make
-this a real constraint rather than a formality:
+unfused autograd graph it replaces, in float64 and in float32, the default.
+The unfused reference is the same code run under ``engine.no_cache()``.
+Two facts make this a real constraint rather than a formality:
 
 - gradient accumulation into a tensor with 3+ consumers is association-
   sensitive, so a fused node must occupy the same topological position as
@@ -29,13 +30,9 @@ from repro.obs import metrics as obs_metrics
 
 @pytest.fixture(autouse=True)
 def _precise_mode():
-    """Run every parity case in float64 with state restored afterwards."""
-    previous_mode = config.engine_mode()
-    previous_fusion = config.fusion_enabled()
-    config.set_engine_mode("precise")
-    yield
-    config.set_engine_mode(previous_mode)
-    config.set_fusion_enabled(previous_fusion)
+    """Run every case in float64 unless it pins another dtype; drop its plans."""
+    with config.use_dtype(np.float64):
+        yield
     engine.clear_caches()
 
 
@@ -162,14 +159,24 @@ CASES = {
 
 
 def _run(build, fused: bool):
-    config.set_fusion_enabled(fused)
     engine.clear_caches()
-    return build()
+    if fused:
+        return build()
+    with engine.no_cache():
+        return build()
 
 
 class TestFusedBitParity:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_fused_matches_unfused_exactly(self, name):
+        self._check(name)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_fused_matches_unfused_exactly_in_float32(self, name):
+        with config.use_dtype(np.float32):
+            self._check(name)
+
+    def _check(self, name):
         build = CASES[name]
         fused_out, fused_grads = _run(build, fused=True)
         plain_out, plain_grads = _run(build, fused=False)
@@ -185,7 +192,6 @@ class TestFusedBitParity:
 
 class TestFusionCache:
     def test_hit_miss_counters(self):
-        config.set_fusion_enabled(True)
         engine.clear_caches()
         before = obs_metrics.counter(
             "engine_fusion_cache_misses_total", kind="lstm_gates"
@@ -205,7 +211,6 @@ class TestFusionCache:
         assert hits_after > hits_before
 
     def test_plan_cache_stats_reports_fusion(self):
-        config.set_fusion_enabled(True)
         engine.clear_caches()
         _lstm_case()
         stats = engine.plan_cache_stats()
@@ -217,18 +222,16 @@ class TestFusionCache:
 
 class TestNoCacheBypassesFusion:
     def test_fusion_inactive_under_no_cache(self):
-        config.set_fusion_enabled(True)
-        assert engine.fusion_active()
+        assert engine.fused_plan(("probe", "cached"), dict) is not None
         with engine.no_cache():
-            assert not engine.fusion_active()
             assert engine.fused_plan(("probe", "no_cache"), dict) is None
-        assert engine.fusion_active()
+        assert engine.fused_plan(("probe", "cached"), dict) is not None
 
     def test_routing_gradcheck_with_fusion_enabled(self):
         """In-place FD perturbation must bypass both plan and fusion caches.
 
-        The gradcheck helper runs under ``engine.no_cache()``; with fusion
-        globally enabled, a fusion cache that survived the bypass would
+        The gradcheck helper runs under ``engine.no_cache()``; a fusion
+        cache that survived the bypass would
         serve plans traced for the unperturbed weights and the central
         differences would disagree with the analytic gradients.
 
@@ -239,7 +242,6 @@ class TestNoCacheBypassesFusion:
         """
         from repro.core.routing import SpatialTemporalRouting
 
-        config.set_fusion_enabled(True)
         engine.clear_caches()
         module = SpatialTemporalRouting(2, 2, 2, iterations=1, rng=np.random.default_rng(0))
         rng = np.random.default_rng(31)

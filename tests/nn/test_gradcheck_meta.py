@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor
-from repro.nn.gradcheck import check_gradients, numeric_gradient
+from repro.nn import Linear, Tensor
+from repro.nn.config import use_dtype
+from repro.nn.gradcheck import check_gradients, gradcheck_module, numeric_gradient
 from repro.nn.tensor import make_op
 
 
@@ -36,6 +37,18 @@ class TestGradcheck:
         x = Tensor(rng.standard_normal(3), requires_grad=True)
         constant = Tensor(rng.standard_normal(3))  # no grad required
         check_gradients(lambda x, c: x * c, [x, constant])
+
+    def test_float32_module_is_checked_in_float64(self, rng):
+        """A float32 central difference at epsilon 1e-5 is roundoff noise;
+        the check must run in float64 and hand back float32 tensors."""
+        with use_dtype(np.float32):
+            layer = Linear(3, 2, rng=0)
+            x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+            weight = layer.weight.data
+            gradcheck_module(layer, x)
+        assert layer.weight.data is weight
+        assert x.data.dtype == np.float32
+        assert layer.weight.grad.dtype == np.float32
 
     def test_restores_data_after_perturbation(self, rng):
         x = Tensor(rng.standard_normal((2, 2)), requires_grad=True)

@@ -92,6 +92,6 @@ class TestStateDictDetails:
 
     def test_load_preserves_dtype(self):
         layer = Linear(2, 2, rng=0)
-        state = {k: v.astype(np.float32) for k, v in layer.state_dict().items()}
+        state = {k: v.astype(np.float64) for k, v in layer.state_dict().items()}
         layer.load_state_dict(state)
-        assert layer.weight.data.dtype == np.float64
+        assert layer.weight.data.dtype == np.float32

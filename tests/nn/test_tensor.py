@@ -10,7 +10,7 @@ from repro.nn.tensor import unbroadcast
 class TestTensorBasics:
     def test_wraps_data_as_float(self):
         tensor = Tensor([1, 2, 3])
-        assert tensor.dtype == np.float64
+        assert tensor.dtype == np.float32
         assert tensor.shape == (3,)
 
     def test_repr_shows_requires_grad(self):

@@ -33,14 +33,13 @@ def _specs(seeds):
 class TestEngineSnapshot:
     def test_roundtrip(self):
         snapshot = parallel.engine_snapshot()
-        assert snapshot["engine_mode"] == nn_config.engine_mode()
+        assert snapshot == {
+            "dtype": np.dtype(nn_config.dtype()).str,
+            "plan_cache": nn_config.plan_cache_enabled(),
+        }
         # Applying the snapshot of the current state is a no-op.
         parallel.apply_engine_snapshot(snapshot)
         assert parallel.engine_snapshot() == snapshot
-
-    def test_snapshot_carries_fusion(self):
-        snapshot = parallel.engine_snapshot()
-        assert snapshot["fusion"] == nn_config.fusion_enabled()
 
 
 class TestRunSpecs:

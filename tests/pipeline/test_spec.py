@@ -14,8 +14,7 @@ class TestRoundTrip:
             epochs=12,
             seed=3,
             hparams={"lr": 3e-3, "pyramid_size": 4, "loss": "mse"},
-            engine_mode="fast",
-            dtype="float32",
+            dtype="float64",
             tag="ablation",
         )
         assert RunSpec.from_dict(spec.to_dict()) == spec

@@ -260,6 +260,29 @@ class TestTraceLinkage:
         lifecycle = [gateway_span, route_span, *shard_spans]
         assert {span["trace_id"] for span in lifecycle} == {gateway_span["trace_id"]}
 
+    def test_answer_names_its_trace_and_shard_generations(
+        self, gateway_factory, raw_windows
+    ):
+        from .conftest import ConstantForecaster
+
+        gateway = gateway_factory()
+        service = gateway.router.services["shard1"]
+        service.swap_primary(ConstantForecaster(service.horizon, 0.2))
+        body = {"window": raw_windows[0].tolist()}
+        _, untraced = _post(f"{gateway.url}/forecast", body)
+        tracing.start_recording()
+        try:
+            _, traced = _post(f"{gateway.url}/forecast", body)
+            records = tracing.recent()
+        finally:
+            tracing.stop_recording()
+            tracing.reset()
+        (gateway_span,) = [r for r in records if r["name"] == "gateway.request"]
+        assert untraced["trace_id"] is None
+        assert traced["trace_id"] == gateway_span["trace_id"]
+        for payload in (untraced, traced):
+            assert [r["generation"] for r in payload["shards"]] == [0, 1]
+
 
 class _StubController:
     """Just enough of an AdaptationController for the status surface."""

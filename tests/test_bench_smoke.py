@@ -8,7 +8,6 @@ benched callable executes exactly once, untimed) in a subprocess, with
 repo.
 """
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -23,7 +22,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     [
         "benchmarks/bench_substrate.py",
         "benchmarks/bench_train.py",
-        "benchmarks/bench_model.py",
         "benchmarks/bench_store.py",
     ],
 )
@@ -51,55 +49,6 @@ def test_bench_module_smoke(module, tmp_path):
     assert result.returncode == 0, (
         f"{module} smoke run failed:\n{result.stdout}\n{result.stderr}"
     )
-
-
-def _load_bench_model():
-    path = os.path.join(REPO_ROOT, "benchmarks", "bench_model.py")
-    spec = importlib.util.spec_from_file_location("_bench_model_smoke", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_fused_and_mixed_bench_modes_match_fast():
-    """The bench's fused and mixed modes agree with fast — parity, not speed.
-
-    Speed is gated on demand by ``scripts/bench_compare.py`` against
-    ``results/BENCH_model.json`` floors; tier-1 only guards that the three
-    benched configurations train the *same model*. Fusion is bit-exact by
-    contract and mixed mode shares the float32 compute graph, so the
-    first-step loss must be bitwise identical across all three modes; the
-    second step lets mixed drift by at most the float64-master rounding.
-    """
-    import numpy as np
-
-    from repro.nn import config as nn_config
-    from repro.nn import engine
-
-    bench_model = _load_bench_model()
-    case = dict(
-        grid=(6, 6), history=4, horizon=2, batch=4, batches=1,
-        pyramid=2, capsule=2, future_capsule=2, decoder=4,
-    )
-    previous_mode = nn_config.engine_mode()
-    previous_fusion = nn_config.fusion_enabled()
-    losses = {}
-    try:
-        for mode, (engine_mode, fusion) in sorted(bench_model.MODES.items()):
-            nn_config.set_engine_mode(engine_mode)
-            nn_config.set_fusion_enabled(fusion)
-            engine.clear_caches()
-            trainer, batches = bench_model._make_trainer(case)
-            x, y = batches[0]
-            losses[mode] = [trainer.train_step(x, y), trainer.train_step(x, y)]
-    finally:
-        nn_config.set_engine_mode(previous_mode)
-        nn_config.set_fusion_enabled(previous_fusion)
-        engine.clear_caches()
-
-    assert losses["fused"] == losses["fast"]
-    assert losses["mixed"][0] == losses["fast"][0]
-    assert np.isclose(losses["mixed"][1], losses["fast"][1], rtol=1e-5, atol=1e-7)
 
 
 @pytest.mark.parametrize(
