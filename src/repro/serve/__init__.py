@@ -12,18 +12,12 @@ package is that loop, built on the pipeline's offline artifacts:
 - :mod:`repro.serve.batching` — :class:`MicroBatcher`: coalesces
   concurrent single-window requests into one batched forward pass,
   bit-identical to the equivalent sequential ``predict``.
-- :mod:`repro.serve.loader` — :func:`load_service`: RunSpec + checkpoint +
-  scaler state → a warmed service (models built via the pipeline registry
-  only; layering keeps ``serve`` off ``core``/``baselines`` and
-  ``experiments`` entirely).
 - :mod:`repro.serve.ingest` — :class:`IngestionPipeline`: live aggregated
   slots append to the *same* chunked :class:`repro.store.WindowStore` the
   training dataflow uses; each window whose horizon materializes is scored
   against realized demand (optionally through the drift monitor), and
   ``update_scaler=True`` refreshes the shared scaler's running extrema
   incrementally (``partial_fit``) — no serve-local window slicing.
-- :mod:`repro.serve.faults` — deterministic fault/latency injection for
-  degradation tests and the bench's degraded-traffic mode.
 - :mod:`repro.serve.monitor` — :class:`DriftMonitor` / :class:`SloMonitor`:
   feed the :mod:`repro.obs.drift` detectors from a live service and publish
   ``forecast_drift_score`` gauges plus ``drift_detected`` / ``slo_burn``
@@ -38,19 +32,25 @@ package is that loop, built on the pipeline's offline artifacts:
   in-flight batches never observe mid-request; every failure mode is
   typed and leaves the original model serving.
 - :mod:`repro.serve.shard` — :func:`partition_grid` / :class:`ShardRouter`:
-  the city-scale tier. Contiguous region shards each run their own service
+  the one way a forecast request is answered, with one shard as the
+  unsharded case. Contiguous region shards each run their own service
   (own scaler, own checkpoint) behind their own micro-batcher; the router
   scatters a full-grid window, gathers the partial demands, and merges
   degradation honestly (per-shard reports; one degraded shard degrades the
   merged answer, one failed shard falls back to that shard's floor).
+  :func:`load_shard_services` is the one loader: RunSpec + per-shard
+  checkpoint + per-shard scaler state → warmed services (models built via
+  the pipeline registry only; layering keeps ``serve`` off
+  ``core``/``baselines`` and ``experiments`` entirely).
 - :mod:`repro.serve.gateway` — ``python -m repro.serve.gateway``: stdlib
   JSON/HTTP front door over a router (``/forecast``, ``/healthz``,
   ``/shards``), traces linking gateway → router → shard spans.
 - :mod:`repro.serve.bench` — ``python -m repro.serve.bench``: closed-loop
-  load generator writing ``results/BENCH_serve.json`` (throughput, p50/p99
-  latency, degraded fraction); ``--trace`` records request-scoped spans,
-  ``--telemetry-port`` serves live ``/metrics``, ``--drift-samples`` replays
-  ground truth through the drift monitor.
+  load generator over a ``--shards N`` router (default 1) writing
+  ``results/BENCH_serve.json`` (throughput, p50/p99 latency, degraded
+  fraction); ``--trace`` records request-scoped spans, ``--telemetry-port``
+  serves live ``/metrics``, ``--drift-samples`` replays ground truth
+  through the drift monitor.
 
 Request lifecycle and degradation tiers are documented in
 docs/ARCHITECTURE.md; BENCH_serve.json fields in docs/PERFORMANCE.md.
@@ -66,18 +66,16 @@ from repro.serve.adapt import (
     SwapConflict,
 )
 from repro.serve.batching import MicroBatcher
-from repro.serve.faults import FaultInjectingForecaster, SlowForecaster
 from repro.serve.ingest import IngestionPipeline, IngestReport, ReadyWindow
-from repro.serve.loader import DEFAULT_FALLBACKS, load_service, service_from_dataset
 from repro.serve.monitor import DriftMonitor, SloMonitor
 from repro.serve.shard import (
+    DEFAULT_FALLBACKS,
     ShardedResponse,
     ShardRegion,
     ShardReport,
     ShardRouter,
     load_shard_services,
     partition_grid,
-    router_from_dataset,
 )
 from repro.serve.service import (
     REASON_DEADLINE,
@@ -101,7 +99,6 @@ __all__ = [
     "GenerationConflict",
     "ShadowReport",
     "SwapConflict",
-    "FaultInjectingForecaster",
     "ForecastResponse",
     "ForecastService",
     "IngestReport",
@@ -118,10 +115,6 @@ __all__ = [
     "REASON_ERROR",
     "REASON_PREDICTED_DEADLINE",
     "ServiceTier",
-    "SlowForecaster",
-    "load_service",
     "load_shard_services",
     "partition_grid",
-    "router_from_dataset",
-    "service_from_dataset",
 ]

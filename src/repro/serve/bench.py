@@ -1,21 +1,25 @@
 """Closed-loop serving load generator: ``python -m repro.serve.bench``.
 
-Builds a synthetic dataset, stands up a :class:`ForecastService` (primary
-model + persistence floor) behind a :class:`MicroBatcher`, then drives it
-with ``--clients`` closed-loop threads (each submits its next request only
-after receiving the previous answer — the classic closed-loop model, so
-offered load adapts to service speed instead of overrunning it). Optional
-``--fault-rate``/``--slow-ms``/``--deadline-ms`` inject failures and
-deadline pressure to measure the *degraded* serving path, not just the
-happy one.
+Builds a synthetic city behind a :class:`~repro.serve.shard.ShardRouter`
+over ``--shards`` regions (default 1, the unsharded deployment) — the same
+router the gateway runs: one service (primary model + persistence floor)
+and one micro-batcher per region, each region with its own scaler — then
+drives it with ``--clients`` closed-loop threads (each submits its next
+request only after receiving the previous answer — the classic closed-loop
+model, so offered load adapts to service speed instead of overrunning it).
+Optional ``--fault-rate``/``--slow-ms``/``--deadline-ms`` inject failures
+and deadline pressure into every shard's primary to measure the *degraded*
+serving path, not just the happy one.
 
+``--drift-samples`` replays ground truth through the drift monitor, and
 ``--adapt`` (with a nonzero ``--drift-shift``) appends a deterministic
 regime-change replay through the full online-adaptation loop — drift
 detection triggers a warm-start fine-tune, a shadow gate validates the
 candidate, and an atomic hot-swap flips it in — then reports pre- vs
 post-swap forecast error (``serve_adaptation_recovery_*`` gauges);
 ``--adapt-fault`` injects chaos (poisoned fine-tune / crash mid-swap) to
-demonstrate the original model keeps serving.
+demonstrate the original model keeps serving. Both replays drive one
+shard's service, so they need ``--shards 1``.
 
 Writes ``results/BENCH_serve.json`` (``REPRO_BENCH_DIR`` overrides the
 directory); field semantics are documented in docs/PERFORMANCE.md and the
@@ -36,104 +40,29 @@ from typing import Optional
 import numpy as np
 
 from repro import faults
-from repro.data.datasets import dataset_from_tensor
-from repro.nn import engine
 from repro.obs import drift as obs_drift
 from repro.obs import runlog, serve_metrics, tracing
 from repro.obs.artifacts import atomic_write_json
 from repro.obs.metrics import Histogram
-from repro.pipeline import registry
-from repro.pipeline.loading import load_forecaster
 from repro.pipeline.spec import RunSpec
 from repro.serve.adapt import AdaptationController, AdaptationPolicy
-from repro.serve.batching import MicroBatcher
-from repro.serve.faults import FaultInjectingForecaster, SlowForecaster
 from repro.serve.ingest import IngestionPipeline
-from repro.serve.loader import service_from_dataset
 from repro.serve.monitor import DriftMonitor, SloMonitor
 from repro.serve.service import ForecastService, ServiceTier
-from repro.serve.shard import DEMO_HPARAMS, ShardRouter, partition_grid
+from repro.serve.shard import demo_spec, synthetic_router
 from repro.store import WindowStore
-
-# Small-but-real BikeCAP geometry: big enough to exercise every kernel,
-# small enough that a smoke run finishes in seconds (shared with the
-# gateway CLI's demo pool).
-DEFAULT_HPARAMS = DEMO_HPARAMS
-
-
-def _unwrap(forecaster):
-    """Strip fault/latency injection wrappers (for plan warm-up)."""
-    while hasattr(forecaster, "inner"):
-        forecaster = forecaster.inner
-    return forecaster
 
 
 def _spec_from_args(args) -> RunSpec:
-    """The one RunSpec every bench mode builds its primary from."""
-    hparams = dict(DEFAULT_HPARAMS.get(args.model, {}))
-    if args.hparams:
-        hparams.update(json.loads(args.hparams))
-    return RunSpec(
-        model=args.model,
+    """The one RunSpec every shard builds its primary from."""
+    return demo_spec(
+        args.model,
         history=args.history,
         horizon=args.horizon,
         epochs=args.epochs,
         seed=args.seed,
-        hparams=hparams,
+        hparams=json.loads(args.hparams) if args.hparams else None,
     )
-
-
-def build_service(args) -> tuple:
-    """Dataset + spec → (service, raw request windows, dataset)."""
-    rng = np.random.default_rng(args.seed)
-    tensor = rng.random((args.slots, args.grid[0], args.grid[1], args.features)) * 20.0
-    dataset = dataset_from_tensor(tensor, history=args.history, horizon=args.horizon)
-
-    spec = _spec_from_args(args)
-
-    checkpoint_path = None
-    if args.epochs > 0:
-        # Full offline→online path: train through the pipeline funnel with
-        # autosave, then reload the checkpoint exactly as a server would.
-        from repro.pipeline.runner import execute
-
-        result = execute(
-            spec, dataset, checkpoint_dir=os.path.join(args.out, "serve-bench-ckpt")
-        )
-        checkpoint_path = result.checkpoint_path
-
-    primary = load_forecaster(
-        spec,
-        checkpoint_path,
-        grid_shape=dataset.grid_shape,
-        num_features=dataset.num_features,
-    )
-    floor = registry.create(
-        "Persistence", args.history, args.horizon, dataset.grid_shape, dataset.num_features
-    )
-    window_shape = (args.history,) + dataset.grid_shape + (dataset.num_features,)
-    for forecaster in (primary, floor):
-        engine.warmup(forecaster.predict, window_shape, (1, args.max_batch))
-
-    if args.slow_ms > 0:
-        primary = SlowForecaster(primary, args.slow_ms / 1e3)
-    if args.fault_rate > 0:
-        primary = FaultInjectingForecaster(primary, args.fault_rate)
-
-    service = ForecastService(
-        [(args.model, primary), ("Persistence", floor)],
-        dataset.scaler,
-        history=args.history,
-        horizon=args.horizon,
-        grid_shape=dataset.grid_shape,
-        num_features=dataset.num_features,
-        target_feature=dataset.target_feature,
-    )
-    # Raw request traffic: the test split's history windows, gathered
-    # straight from the chunked store's raw slots — exactly what an online
-    # caller would send (counts, not normalized values).
-    raw_windows = dataset.test_view().raw_x()
-    return service, raw_windows, dataset
 
 
 def _inject_faults(service: ForecastService, args) -> None:
@@ -141,65 +70,37 @@ def _inject_faults(service: ForecastService, args) -> None:
     primary = service.tiers[0]
     forecaster = primary.forecaster
     if args.slow_ms > 0:
-        forecaster = SlowForecaster(forecaster, args.slow_ms / 1e3)
+        forecaster = faults.SlowForecaster(forecaster, args.slow_ms / 1e3)
     if args.fault_rate > 0:
-        forecaster = FaultInjectingForecaster(forecaster, args.fault_rate)
+        forecaster = faults.FaultInjectingForecaster(forecaster, args.fault_rate)
     service.tiers = (ServiceTier(primary.name, forecaster),) + service.tiers[1:]
 
 
-def build_sharded(args) -> tuple:
-    """Synthetic city → per-shard datasets/services → (router, raw windows).
+def build_router(args) -> tuple:
+    """Synthetic city → (router, full-grid dataset), injectors in place.
 
-    Each region gets its **own** dataset sliced from the full tensor, so
-    each shard fits its own scaler on its own block's extrema — the
-    per-shard normalization a real deployment would persist. With
-    ``--epochs > 0`` each shard also trains its own checkpoint through the
-    pipeline funnel and reloads it exactly as a server would.
+    With ``--epochs > 0`` each shard trains its own checkpoint through the
+    pipeline funnel and reloads it exactly as a server would. The
+    injectors wrap each primary after the plans are warmed, so warm-up
+    never trips an injected fault.
     """
-    rng = np.random.default_rng(args.seed)
-    tensor = rng.random((args.slots, args.grid[0], args.grid[1], args.features)) * 20.0
-    dataset = dataset_from_tensor(tensor, history=args.history, horizon=args.horizon)
-    regions = partition_grid(args.grid, args.shards)
-    spec = _spec_from_args(args)
-
-    services = {}
-    for region in regions:
-        shard_dataset = dataset_from_tensor(
-            region.slice_tensor(tensor), history=args.history, horizon=args.horizon
-        )
-        checkpoint_path = None
-        if args.epochs > 0:
-            from repro.pipeline.runner import execute
-
-            result = execute(
-                spec,
-                shard_dataset,
-                checkpoint_dir=os.path.join(
-                    args.out, f"serve-bench-ckpt-{region.name}"
-                ),
-            )
-            checkpoint_path = result.checkpoint_path
-        service = service_from_dataset(
-            spec,
-            shard_dataset,
-            checkpoint_path=checkpoint_path,
-            warm_batch_sizes=(1, args.max_batch),
-        )
-        _inject_faults(service, args)
-        services[region.name] = service
-
-    router = ShardRouter(
-        regions,
-        services,
+    router, dataset = synthetic_router(
+        _spec_from_args(args),
+        grid=args.grid,
+        num_shards=args.shards,
+        features=args.features,
+        slots=args.slots,
+        checkpoint_dir=os.path.join(args.out, "serve-bench-ckpt"),
         max_batch=args.max_batch,
         max_wait_seconds=args.max_wait_ms / 1e3,
     )
-    raw_windows = dataset.test_view().raw_x()
-    return router, raw_windows
+    for service in router.services.values():
+        _inject_faults(service, args)
+    return router, dataset
 
 
-def run_load(service, raw_windows, args):
-    """Drive the batcher closed-loop; returns (responses, elapsed_seconds)."""
+def run_load(router, raw_windows, args):
+    """Drive the router closed-loop → (responses, elapsed, per-shard batch sizes)."""
     deadline = args.deadline_ms / 1e3 if args.deadline_ms is not None else None
     responses = []
     responses_lock = threading.Lock()
@@ -208,52 +109,9 @@ def run_load(service, raw_windows, args):
     per_client = args.requests // args.clients
     if per_client < 1:
         raise SystemExit("--requests must be >= --clients")
-
-    with MicroBatcher(
-        service, max_batch=args.max_batch, max_wait_seconds=args.max_wait_ms / 1e3
-    ) as batcher:
-
-        def client(offset: int) -> None:
-            barrier.wait()
-            for i in range(per_client):
-                window = raw_windows[(offset + i) % len(raw_windows)]
-                try:
-                    response = batcher.forecast(window, deadline_seconds=deadline)
-                except Exception as error:  # noqa: BLE001 - report, don't hang
-                    with responses_lock:
-                        errors.append(error)
-                    return
-                with responses_lock:
-                    responses.append(response)
-
-        threads = [
-            threading.Thread(target=client, args=(offset,), daemon=True)
-            for offset in range(args.clients)
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        began = time.monotonic()
-        for thread in threads:
-            thread.join()
-        elapsed = time.monotonic() - began
-        batch_sizes = list(batcher.batch_sizes)
-
-    if errors:
-        raise RuntimeError(f"{len(errors)} request(s) errored; first: {errors[0]!r}")
-    return responses, elapsed, batch_sizes
-
-
-def run_sharded_load(router, raw_windows, args):
-    """Closed-loop clients over ``ShardRouter.forecast``; mirrors run_load."""
-    deadline = args.deadline_ms / 1e3 if args.deadline_ms is not None else None
-    responses = []
-    responses_lock = threading.Lock()
-    errors = []
-    barrier = threading.Barrier(args.clients + 1)
-    per_client = args.requests // args.clients
-    if per_client < 1:
-        raise SystemExit("--requests must be >= --clients")
+    # The batchers outlive one load (``--trace-overhead`` runs a reference
+    # load first): report only the batches this load coalesced.
+    already = {name: len(sizes) for name, sizes in router.batch_sizes.items()}
 
     def client(offset: int) -> None:
         barrier.wait()
@@ -282,65 +140,10 @@ def run_sharded_load(router, raw_windows, args):
 
     if errors:
         raise RuntimeError(f"{len(errors)} request(s) errored; first: {errors[0]!r}")
-    return responses, elapsed
-
-
-def summarize_sharded(responses, elapsed, router, args) -> dict:
-    """BENCH_serve.json payload for a ``--shards`` run.
-
-    The throughput gauge ends in ``_throughput_rps`` so
-    ``scripts/bench_compare.py`` gates it (higher is better) without any
-    bench-specific wiring; p50/p99 follow the single-service naming with a
-    ``sharded`` infix.
-    """
-    latency = Histogram("client_latency")
-    degraded = 0
-    missed = 0
-    shard_tier_counts: dict = {}
-    shard_failures: dict = {}
-    for response in responses:
-        latency.observe(response.latency_seconds)
-        degraded += bool(response.degraded)
-        missed += bool(response.deadline_missed)
-        for report in response.shards:
-            tiers = shard_tier_counts.setdefault(report.shard, {})
-            tier = report.tier if report.tier is not None else "<failed>"
-            tiers[tier] = tiers.get(tier, 0) + 1
-            if report.failed:
-                shard_failures[report.shard] = shard_failures.get(report.shard, 0) + 1
-    total = len(responses)
-    stats = latency.summary()
-    batch_sizes = router.batch_sizes
-    all_batches = [size for sizes in batch_sizes.values() for size in sizes]
-    gauges = {
-        "bench_serve_sharded_latency_mean_seconds": stats["mean"],
-        "bench_serve_sharded_latency_p50_seconds": stats["p50"],
-        "bench_serve_sharded_latency_p90_seconds": stats["p90"],
-        "bench_serve_sharded_latency_p99_seconds": stats["p99"],
-        "bench_serve_sharded_throughput_rps": total / elapsed if elapsed > 0 else 0.0,
-        "bench_serve_sharded_degraded_fraction": degraded / total,
-        "bench_serve_sharded_deadline_missed_fraction": missed / total,
-        "bench_serve_sharded_batch_mean_size": (
-            float(np.mean(all_batches)) if all_batches else 0.0
-        ),
+    batch_sizes = {
+        name: sizes[already[name] :] for name, sizes in router.batch_sizes.items()
     }
-    return {
-        "config": {
-            key: value for key, value in sorted(vars(args).items()) if key != "out"
-        },
-        "gauges": gauges,
-        "requests": total,
-        "elapsed_seconds": elapsed,
-        "shards": {
-            region.name: {
-                **region.as_dict(),
-                "tier_counts": dict(sorted(shard_tier_counts.get(region.name, {}).items())),
-                "failures": shard_failures.get(region.name, 0),
-                "batches": len(batch_sizes.get(region.name, [])),
-            }
-            for region in router.regions
-        },
-    }
+    return responses, elapsed, batch_sizes
 
 
 def drift_pass(service, dataset, args) -> DriftMonitor:
@@ -532,18 +335,25 @@ def slo_pass(responses, args):
     return monitor.evaluate()
 
 
-def summarize(responses, elapsed, batch_sizes, args) -> dict:
+def summarize(responses, elapsed, batch_sizes, router, args) -> dict:
+    """BENCH_serve.json payload: the gauges plus a per-shard breakdown."""
     latency = Histogram("client_latency")
-    tier_counts: dict = {}
+    tier_counts = {region.name: {} for region in router.regions}
+    failures = dict.fromkeys(tier_counts, 0)
     degraded = 0
     missed = 0
     for response in responses:
         latency.observe(response.latency_seconds)
-        tier_counts[response.tier] = tier_counts.get(response.tier, 0) + 1
         degraded += bool(response.degraded)
         missed += bool(response.deadline_missed)
+        for report in response.shards:
+            counts = tier_counts[report.shard]
+            tier = report.tier or "<failed>"
+            counts[tier] = counts.get(tier, 0) + 1
+            failures[report.shard] += report.failed
     total = len(responses)
     stats = latency.summary()
+    all_batches = [size for sizes in batch_sizes.values() for size in sizes]
     gauges = {
         "bench_serve_latency_mean_seconds": stats["mean"],
         "bench_serve_latency_min_seconds": stats["min"],
@@ -553,7 +363,7 @@ def summarize(responses, elapsed, batch_sizes, args) -> dict:
         "bench_serve_throughput_rps": total / elapsed if elapsed > 0 else 0.0,
         "bench_serve_degraded_fraction": degraded / total,
         "bench_serve_deadline_missed_fraction": missed / total,
-        "bench_serve_batch_mean_size": float(np.mean(batch_sizes)) if batch_sizes else 0.0,
+        "bench_serve_batch_mean_size": float(np.mean(all_batches)) if all_batches else 0.0,
     }
     return {
         "config": {
@@ -562,8 +372,15 @@ def summarize(responses, elapsed, batch_sizes, args) -> dict:
         "gauges": gauges,
         "requests": total,
         "elapsed_seconds": elapsed,
-        "tier_counts": dict(sorted(tier_counts.items())),
-        "batch_sizes": batch_sizes,
+        "shards": {
+            region.name: {
+                **region.as_dict(),
+                "tier_counts": dict(sorted(tier_counts[region.name].items())),
+                "failures": failures[region.name],
+                "batch_sizes": batch_sizes[region.name],
+            }
+            for region in router.regions
+        },
     }
 
 
@@ -581,10 +398,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--hparams", default=None, help="JSON overrides for the primary")
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help=">0 runs the region-sharded pool (ShardRouter) instead of one service",
+        "--shards", type=int, default=1, help="region shards behind the router"
     )
     parser.add_argument("--max-batch", type=int, default=8)
     parser.add_argument("--max-wait-ms", type=float, default=2.0)
@@ -657,50 +471,54 @@ def main(argv: Optional[list] = None) -> int:
         args.trace = True
     if args.adapt and not args.drift_shift:
         parser.error("--adapt needs a nonzero --drift-shift (the regime change)")
-    if args.shards:
-        if args.drift_samples > 0:
-            parser.error("--drift-samples is not supported with --shards")
-        if args.trace_overhead:
-            parser.error("--trace-overhead is not supported with --shards")
-        if args.adapt:
-            parser.error("--adapt is not supported with --shards")
-        return _main_sharded(args)
+    if args.shards != 1 and (args.drift_samples > 0 or args.adapt):
+        parser.error("--drift-samples and --adapt replay one shard: use --shards 1")
 
-    service, raw_windows, dataset = build_service(args)
+    router, dataset = build_router(args)
+    raw_windows = dataset.test_view().raw_x()
     exporter = None
     if args.telemetry_port is not None:
         exporter = serve_metrics.start_exporter(port=args.telemetry_port)
         print(f"telemetry live at {exporter.url}/metrics")
     logger = runlog.start_run(
-        "serve-bench", seed=args.seed, config={"bench": "serve", "spec_model": args.model}
+        "serve-bench",
+        seed=args.seed,
+        config={"bench": "serve", "spec_model": args.model, "shards": args.shards},
     )
     baseline_throughput = None
     drift_monitor = None
     slo_status = None
     adaptation = None
     try:
-        if args.trace_overhead:
-            # Reference pass with recording off; the measured pass below is
-            # identical except for the trace ring, so the throughput delta
-            # *is* the tracing tax.
-            reference, reference_elapsed, _ = run_load(service, raw_windows, args)
-            if reference and reference_elapsed > 0:
-                baseline_throughput = len(reference) / reference_elapsed
-        if args.trace:
-            tracing.start_recording()
-        responses, elapsed, batch_sizes = run_load(service, raw_windows, args)
-        slo_status = slo_pass(responses, args)
-        if args.drift_samples > 0:
-            drift_monitor = drift_pass(service, dataset, args)
-        if args.adapt:
-            # After the latency measurement: the replay mutates the service
-            # (hot-swap) and must not contaminate the load numbers.
-            adaptation = adapt_pass(service, dataset, _spec_from_args(args), args)
+        with router:
+            if args.trace_overhead:
+                # Reference pass with recording off; the measured pass below
+                # is identical except for the trace ring, so the throughput
+                # delta *is* the tracing tax.
+                reference, reference_elapsed, _ = run_load(router, raw_windows, args)
+                if reference and reference_elapsed > 0:
+                    baseline_throughput = len(reference) / reference_elapsed
+            if args.trace:
+                tracing.start_recording()
+            responses, elapsed, batch_sizes = run_load(router, raw_windows, args)
+            slo_status = slo_pass(responses, args)
+            if args.drift_samples > 0 or args.adapt:
+                # Both replays drive the one shard's service (--shards 1).
+                (service,) = router.services.values()
+                if args.drift_samples > 0:
+                    drift_monitor = drift_pass(service, dataset, args)
+                if args.adapt:
+                    # After the latency measurement: the replay mutates the
+                    # service (hot-swap) and must not contaminate the load
+                    # numbers.
+                    adaptation = adapt_pass(
+                        service, dataset, _spec_from_args(args), args
+                    )
     finally:
         if logger is not None:
             logger.close(status="ok")
 
-    payload = summarize(responses, elapsed, batch_sizes, args)
+    payload = summarize(responses, elapsed, batch_sizes, router, args)
     gauges = payload["gauges"]
     if baseline_throughput:
         overhead = max(0.0, 1.0 - gauges["bench_serve_throughput_rps"] / baseline_throughput)
@@ -739,7 +557,12 @@ def main(argv: Optional[list] = None) -> int:
         exporter.stop()
 
     gauges = payload["gauges"]
-    print(f"serve bench: {payload['requests']} requests in {elapsed:.3f}s")
+    tiers = {name: shard["tier_counts"] for name, shard in payload["shards"].items()}
+    failed = sum(shard["failures"] for shard in payload["shards"].values())
+    print(
+        f"serve bench (router ×{args.shards}): "
+        f"{payload['requests']} requests in {elapsed:.3f}s"
+    )
     print(
         f"  throughput {gauges['bench_serve_throughput_rps']:8.1f} req/s   "
         f"mean batch {gauges['bench_serve_batch_mean_size']:.2f}"
@@ -750,7 +573,7 @@ def main(argv: Optional[list] = None) -> int:
     )
     print(
         f"  degraded   {gauges['bench_serve_degraded_fraction'] * 100:5.1f}%   "
-        f"tiers {payload['tier_counts']}"
+        f"tiers {tiers}   shard failures {failed}"
     )
     if adaptation is not None:
         status = adaptation["status"]
@@ -765,66 +588,6 @@ def main(argv: Optional[list] = None) -> int:
                 f"post-swap err {adaptation['post_swap_error']:.3f} "
                 f"({adaptation['improvement_fraction']:+.1%})"
             )
-    print(f"  wrote {path}")
-    return 0
-
-
-def _main_sharded(args) -> int:
-    """The ``--shards N`` flow: pool build, closed-loop load, sharded gauges."""
-    router, raw_windows = build_sharded(args)
-    exporter = None
-    if args.telemetry_port is not None:
-        exporter = serve_metrics.start_exporter(port=args.telemetry_port)
-        print(f"telemetry live at {exporter.url}/metrics")
-    logger = runlog.start_run(
-        "serve-bench",
-        seed=args.seed,
-        config={"bench": "serve-sharded", "spec_model": args.model, "shards": args.shards},
-    )
-    slo_status = None
-    try:
-        if args.trace:
-            tracing.start_recording()
-        with router:
-            responses, elapsed = run_sharded_load(router, raw_windows, args)
-            slo_status = slo_pass(responses, args)
-            payload = summarize_sharded(responses, elapsed, router, args)
-    finally:
-        if logger is not None:
-            logger.close(status="ok")
-    if slo_status is not None:
-        payload["slo"] = slo_status.as_dict()
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "BENCH_serve.json")
-    atomic_write_json(path, payload, sort_keys=True)
-    if args.trace:
-        trace_path = tracing.dump_chrome_trace(
-            os.path.join(args.out, "BENCH_serve.trace.json")
-        )
-        tracing.dump_jsonl(os.path.join(args.out, "BENCH_serve.trace.jsonl"))
-        tracing.stop_recording()
-        print(f"  trace  {trace_path} (load into Perfetto / chrome://tracing)")
-    if exporter is not None:
-        exporter.stop()
-
-    gauges = payload["gauges"]
-    failed = sum(shard["failures"] for shard in payload["shards"].values())
-    print(
-        f"serve bench (sharded ×{args.shards}): "
-        f"{payload['requests']} requests in {elapsed:.3f}s"
-    )
-    print(
-        f"  throughput {gauges['bench_serve_sharded_throughput_rps']:8.1f} req/s   "
-        f"mean shard batch {gauges['bench_serve_sharded_batch_mean_size']:.2f}"
-    )
-    print(
-        f"  latency    p50 {gauges['bench_serve_sharded_latency_p50_seconds'] * 1e3:7.2f}ms   "
-        f"p99 {gauges['bench_serve_sharded_latency_p99_seconds'] * 1e3:7.2f}ms"
-    )
-    print(
-        f"  degraded   {gauges['bench_serve_sharded_degraded_fraction'] * 100:5.1f}%   "
-        f"shard failures {failed}"
-    )
     print(f"  wrote {path}")
     return 0
 

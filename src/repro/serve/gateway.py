@@ -5,12 +5,13 @@ tier: a stdlib :class:`~http.server.ThreadingHTTPServer` (one handler
 thread per connection, same shape as the telemetry exporter) that turns
 
 - ``POST /forecast`` — body ``{"window": [[...]], "deadline_ms": 250}``
-  (a raw full-grid history window, nested lists of finite counts) into the
-  merged :class:`~repro.serve.shard.ShardedResponse` as JSON: full-grid
-  ``demand`` plus the per-shard reports, degradation and failed-shard list,
-  verbatim. The body must declare its ``Content-Length``: a missing,
-  malformed or negative one is a 400, one above ``MAX_BODY_BYTES`` a 413,
-  both answered before any of the body is read;
+  (a raw full-grid history window, nested lists of finite, non-negative
+  counts; anything else is a 400) into the merged
+  :class:`~repro.serve.shard.ShardedResponse` as JSON: full-grid ``demand``
+  plus the per-shard reports, degradation and failed-shard list, verbatim.
+  The body must declare its ``Content-Length``: a missing, malformed or
+  negative one is a 400, one above ``MAX_BODY_BYTES`` a 413, both answered
+  before any of the body is read;
 - ``GET /healthz`` — liveness plus shard count;
 - ``GET /shards`` — the router's static shard map (regions, tiers);
 - ``GET /adaptation`` — per-shard online-adaptation state (serving
@@ -40,7 +41,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import urlparse
 
-from repro.serve.shard import ShardRouter, obs_metrics, synthetic_router, tracing
+from repro.serve.shard import (
+    ShardRouter,
+    demo_spec,
+    obs_metrics,
+    synthetic_router,
+    tracing,
+)
 
 
 # Largest request body the gateway reads; a paper-geometry window
@@ -267,22 +274,22 @@ def main(argv: Optional[list] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    router, raw_windows = synthetic_router(
-        model=args.model,
+    spec = demo_spec(
+        args.model, history=args.history, horizon=args.horizon, seed=args.seed
+    )
+    router, dataset = synthetic_router(
+        spec,
         grid=tuple(args.grid),
         num_shards=args.shards,
-        history=args.history,
-        horizon=args.horizon,
         features=args.features,
         slots=args.slots,
-        seed=args.seed,
         max_batch=args.max_batch,
         max_wait_seconds=args.max_wait_ms / 1e3,
     )
     with router:
         with ForecastGateway(router, host=args.host, port=args.port) as gateway:
             if args.selfcheck:
-                return _selfcheck(gateway, raw_windows[0].tolist())
+                return _selfcheck(gateway, dataset.test_view().raw_x()[0].tolist())
             print(
                 f"gateway live at {gateway.url} "
                 f"(/forecast, /healthz, /shards; {args.shards} shards)"

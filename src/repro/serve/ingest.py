@@ -11,12 +11,16 @@ service that shares the store's scaler.
 
 Lifecycle (see docs/DATAFLOW.md):
 
-1. ``ingest(slots)`` appends raw slots; once ``history`` slots exist the
-   service can answer (:meth:`forecast` / :meth:`current_window`);
+1. ``ingest(slots)`` checks that the slots hold finite, non-negative counts
+   (the same check the router applies to request windows), then appends
+   them;
 2. each time a window's full horizon lands, ``ingest`` returns it as a
    :class:`ReadyWindow` (raw history + realized target demand) and — if a
    :class:`~repro.serve.monitor.DriftMonitor` is attached — feeds it
    through the monitor, closing the predict → realize → score loop.
+
+Ingestion answers no forecast requests: those go through the
+:class:`~repro.serve.shard.ShardRouter`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from repro.obs import metrics as obs_metrics
 from repro.obs import runlog
 from repro.serve.monitor import DriftMonitor
-from repro.serve.service import ForecastResponse, ForecastService
+from repro.serve.service import ForecastService, check_counts
 from repro.store import WindowStore
 
 
@@ -103,8 +107,12 @@ class IngestionPipeline:
 
         Returns the newly completed windows; with a monitor attached each
         one has already been predicted and scored against its realized
-        demand (``report`` holds the drift verdict).
+        demand (``report`` holds the drift verdict). Slots that are not
+        finite, non-negative counts raise ``ValueError`` before anything
+        is appended or folded into the scaler.
         """
+        slots = np.asarray(slots)
+        check_counts(slots, "slots")
         appended = self.store.extend(slots, update_scaler=self.update_scaler)
         obs_metrics.counter("serve_ingest_slots_total", service=self.label).inc(appended)
         ready: List[ReadyWindow] = []
@@ -155,22 +163,6 @@ class IngestionPipeline:
                         error=str(error),
                     )
         return IngestReport(appended_slots=appended, ready=ready)
-
-    def current_window(self) -> Optional[np.ndarray]:
-        """The freshest raw history window, or None before warm-up."""
-        return self.store.latest_raw_window()
-
-    def forecast(self, deadline_seconds: Optional[float] = None) -> ForecastResponse:
-        """Answer a forecast for the store's most recent history window."""
-        if self.service is None:
-            raise RuntimeError("IngestionPipeline.forecast needs a service")
-        window = self.current_window()
-        if window is None:
-            raise RuntimeError(
-                f"not enough slots ingested: have {self.store.num_slots}, "
-                f"need {self.store.history}"
-            )
-        return self.service.predict_one(window, deadline_seconds=deadline_seconds)
 
 
 __all__ = ["IngestReport", "IngestionPipeline", "ReadyWindow"]

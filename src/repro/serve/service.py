@@ -71,6 +71,21 @@ REASON_PREDICTED_DEADLINE = "predicted_deadline"
 _EWMA_ALPHA = 0.3
 
 
+def check_counts(values: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless every value is a finite, non-negative count.
+
+    The one input check the two serving boundaries share: the router
+    before it submits a window, ingestion before it appends slots.
+    ``json.loads`` yields NaN and infinities, and a negative count folded
+    into ``partial_fit`` would widen the scaler's extrema for good.
+    """
+    if not (np.isfinite(values).all() and (values >= 0).all()):
+        raise ValueError(
+            f"{what} must hold finite, non-negative counts "
+            "(got NaN, inf or a negative value)"
+        )
+
+
 class PartialBatchError(RuntimeError):
     """The floor tier failed for *some* requests of a batch.
 
@@ -598,4 +613,5 @@ __all__ = [
     "REASON_ERROR",
     "REASON_PREDICTED_DEADLINE",
     "ServiceTier",
+    "check_counts",
 ]

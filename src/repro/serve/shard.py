@@ -7,12 +7,16 @@ checkpoint — demand extrema differ between downtown and suburb blocks, so
 per-shard normalization is a feature, not an accident. The pieces:
 
 - :func:`partition_grid` — split ``(G1, G2)`` into ``num_shards`` contiguous
-  :class:`ShardRegion` blocks that tile the grid exactly.
-- :func:`load_shard_services` / :func:`router_from_dataset` — per-shard
-  scaler/checkpoint wiring through :func:`~repro.serve.loader.load_service`.
+  :class:`ShardRegion` blocks that tile the grid exactly; one shard is the
+  unsharded deployment.
+- :func:`load_shard_services` — the one loader: spec + per-shard checkpoint
+  + per-shard persisted scaler state → one warmed service per region.
 - :class:`ShardRouter` — scatters a full-grid request window to one
   :class:`~repro.serve.batching.MicroBatcher` per shard, gathers the partial
-  demands and merges them into one :class:`ShardedResponse`.
+  demands and merges them into one :class:`ShardedResponse`. It is the only
+  path that answers a forecast request.
+- :func:`synthetic_router` — a synthetic city behind a router, for the
+  gateway CLI demo and the serve bench.
 
 Merge semantics are honest by construction:
 
@@ -34,8 +38,9 @@ under it, so gateway → router → shard spans link into one trace.
 
 from __future__ import annotations
 
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,11 +50,18 @@ import numpy as np
 # reaches the observability surfaces through this module.
 from repro.obs import metrics as obs_metrics
 from repro.obs import runlog, tracing
-from repro.data.datasets import dataset_from_tensor
+from repro.data.datasets import BikeDemandDataset, dataset_from_tensor
+from repro.pipeline import registry
+from repro.pipeline.loading import load_forecaster
+from repro.pipeline.runner import execute
 from repro.pipeline.spec import RunSpec
 from repro.serve.batching import MicroBatcher
-from repro.serve.loader import DEFAULT_FALLBACKS, load_service
-from repro.serve.service import ForecastResponse, ForecastService
+from repro.serve.service import ForecastResponse, ForecastService, check_counts
+from repro.store import MinMaxScaler
+
+# The floor tier under every primary: persistence needs no training and
+# cannot fail on a well-formed window.
+DEFAULT_FALLBACKS: Tuple[str, ...] = ("Persistence",)
 
 # Small-but-real BikeCAP geometry shared by the serve bench and the gateway
 # CLI demo pool: every kernel exercised, smoke runs finish in seconds.
@@ -328,9 +340,7 @@ class ShardRouter:
                 f"expected one raw full-grid window of shape {self.window_shape}, "
                 f"got {window.shape}"
             )
-        if not np.isfinite(window).all():
-            # json.loads accepts NaN and Infinity; neither is a demand count.
-            raise ValueError("window must hold finite values only (got NaN or inf)")
+        check_counts(window, "window")
         began = self._clock()
         obs_metrics.counter("serve_router_requests_total").inc()
         with tracing.span("serve.route", shards=len(self.regions)) as route_span:
@@ -436,141 +446,144 @@ def load_shard_services(
     regions: Sequence[ShardRegion],
     *,
     num_features: int,
+    scaler_states: Mapping[str, dict],
     history: Optional[int] = None,
     horizon: Optional[int] = None,
     target_feature: int = 0,
-    scaler=None,
-    scaler_states: Optional[Mapping[str, dict]] = None,
     checkpoint_paths: Optional[Mapping[str, str]] = None,
     fallbacks: Sequence[str] = DEFAULT_FALLBACKS,
     warm_batch_sizes: Optional[Sequence[int]] = (1,),
 ) -> Dict[str, ForecastService]:
-    """One warmed :class:`ForecastService` per region, through ``load_service``.
+    """Spec + checkpoints + scaler states → one warmed service per region.
 
-    Normalization comes from exactly one of ``scaler`` (one fitted scaler
-    shared by every shard — valid because :class:`MinMaxScaler` is
-    per-feature over *all* cells, so a full-grid fit covers any sub-grid)
-    or ``scaler_states`` (per-shard persisted states, the deployment shape
-    where each shard fit its own extrema). ``checkpoint_paths`` maps shard
-    names to checkpoint archives; shards without an entry build the spec's
-    model fresh from the registry.
+    The serving counterpart of :func:`repro.pipeline.runner.execute`: each
+    shard's primary tier is the spec's model with that shard's checkpoint
+    weights (:func:`repro.pipeline.loading.load_forecaster`; a shard with
+    no ``checkpoint_paths`` entry builds the model fresh), and
+    ``fallbacks`` name registered models, cheapest last, appended below it.
+    ``scaler_states`` maps every shard name to the persisted state of the
+    scaler that shard trained with: serving with other constants than
+    training silently skews every answer, so there is no default.
+    ``warm_batch_sizes=None`` skips the engine-plan warm-up.
     """
-    if (scaler is None) == (scaler_states is None):
-        raise ValueError("pass exactly one of scaler= or scaler_states=")
+    history = history if history is not None else spec.history
+    horizon = horizon if horizon is not None else spec.horizon
+    if spec.model in fallbacks:
+        raise ValueError(f"fallback {spec.model!r} duplicates the primary tier")
     services: Dict[str, ForecastService] = {}
     for region in regions:
-        sources = {}
-        if scaler is not None:
-            sources["scaler"] = scaler
-        else:
-            if region.name not in scaler_states:
-                raise ValueError(f"scaler_states is missing shard {region.name!r}")
-            sources["scaler_state"] = scaler_states[region.name]
-        checkpoint = (checkpoint_paths or {}).get(region.name)
-        services[region.name] = load_service(
+        if region.name not in scaler_states:
+            raise ValueError(f"scaler_states is missing shard {region.name!r}")
+        primary = load_forecaster(
             spec,
-            checkpoint,
+            (checkpoint_paths or {}).get(region.name),
             grid_shape=region.grid_shape,
             num_features=num_features,
             history=history,
             horizon=horizon,
-            target_feature=target_feature,
-            fallbacks=fallbacks,
-            warm_batch_sizes=warm_batch_sizes,
-            **sources,
         )
+        tiers = [(spec.model, primary)] + [
+            (name, registry.create(name, history, horizon, region.grid_shape, num_features))
+            for name in fallbacks
+        ]
+        service = ForecastService(
+            tiers,
+            MinMaxScaler.from_state(scaler_states[region.name]),
+            history=history,
+            horizon=horizon,
+            grid_shape=region.grid_shape,
+            num_features=num_features,
+            target_feature=target_feature,
+        )
+        if warm_batch_sizes:
+            service.warm_up(tuple(warm_batch_sizes))
+        services[region.name] = service
     return services
 
 
-def router_from_dataset(
-    spec: RunSpec,
-    dataset,
-    num_shards: int,
+def demo_spec(
+    model: str = "BikeCAP",
     *,
-    checkpoint_paths: Optional[Mapping[str, str]] = None,
-    fallbacks: Sequence[str] = DEFAULT_FALLBACKS,
-    warm_batch_sizes: Optional[Sequence[int]] = (1,),
-    max_batch: int = 8,
-    max_wait_seconds: float = 0.002,
-) -> ShardRouter:
-    """Partition a full-grid dataset's geometry and stand up the router.
-
-    The dataset's (full-grid) scaler is shared across shards; for
-    per-shard scalers build per-region datasets and use
-    :func:`load_shard_services` directly (the bench's ``--shards`` mode
-    does exactly that).
-    """
-    regions = partition_grid(dataset.grid_shape, num_shards)
-    services = load_shard_services(
-        spec,
-        regions,
-        num_features=dataset.num_features,
-        history=dataset.history,
-        horizon=dataset.horizon,
-        target_feature=dataset.target_feature,
-        scaler=dataset.scaler,
-        checkpoint_paths=checkpoint_paths,
-        fallbacks=fallbacks,
-        warm_batch_sizes=warm_batch_sizes,
-    )
-    return ShardRouter(
-        regions, services, max_batch=max_batch, max_wait_seconds=max_wait_seconds
+    history: int = 6,
+    horizon: int = 3,
+    epochs: int = 0,
+    seed: int = 0,
+    hparams: Optional[dict] = None,
+) -> RunSpec:
+    """The spec of a demo pool: ``DEMO_HPARAMS`` updated by ``hparams``."""
+    return RunSpec(
+        model=model,
+        history=history,
+        horizon=horizon,
+        epochs=epochs,
+        seed=seed,
+        hparams={**DEMO_HPARAMS.get(model, {}), **(hparams or {})},
     )
 
 
 def synthetic_router(
+    spec: RunSpec,
     *,
-    model: str = "BikeCAP",
     grid=(6, 6),
-    num_shards: int = 4,
-    history: int = 6,
-    horizon: int = 3,
+    num_shards: int = 1,
     features: int = 4,
     slots: int = 80,
-    seed: int = 0,
-    hparams: Optional[dict] = None,
+    checkpoint_dir: Optional[str] = None,
     max_batch: int = 8,
     max_wait_seconds: float = 0.002,
-):
-    """Demo pool over a synthetic demand tensor → ``(router, raw_windows)``.
+) -> Tuple[ShardRouter, BikeDemandDataset]:
+    """A synthetic city behind a router → ``(router, full-grid dataset)``.
 
-    Used by the gateway CLI and smoke tests: no checkpoints, models built
-    fresh from the registry (``DEMO_HPARAMS`` keeps BikeCAP tiny). A
-    ``Persistence`` primary gets no fallback tier (it would duplicate
-    itself); everything else gets the default persistence floor.
+    The demand tensor is drawn from ``spec.seed``. Each region gets its own
+    dataset sliced from it, so each shard fits its own scaler on its own
+    block, the per-shard state a deployment persists; with
+    ``spec.epochs > 0`` each shard also trains its own checkpoint under
+    ``checkpoint_dir`` and reloads it exactly as a server would. A
+    ``Persistence`` primary gets no floor tier (it would duplicate itself);
+    every other primary gets the default persistence floor. The returned
+    dataset covers the full grid: its test windows are the raw request
+    traffic, and its store the slots a live replay ingests.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(spec.seed)
     tensor = rng.random((slots, int(grid[0]), int(grid[1]), features)) * 20.0
-    dataset = dataset_from_tensor(tensor, history=history, horizon=horizon)
-    spec = RunSpec(
-        model=model,
-        history=history,
-        horizon=horizon,
-        epochs=0,
-        seed=seed,
-        hparams=dict(hparams if hparams is not None else DEMO_HPARAMS.get(model, {})),
-    )
-    fallbacks = () if model in DEFAULT_FALLBACKS else DEFAULT_FALLBACKS
-    router = router_from_dataset(
+    regions = partition_grid(grid, num_shards)
+    states: Dict[str, dict] = {}
+    checkpoints: Dict[str, str] = {}
+    for region in regions:
+        shard = dataset_from_tensor(
+            region.slice_tensor(tensor), history=spec.history, horizon=spec.horizon
+        )
+        states[region.name] = shard.scaler.state()
+        if spec.epochs > 0:
+            result = execute(
+                spec, shard, checkpoint_dir=os.path.join(checkpoint_dir, region.name)
+            )
+            checkpoints[region.name] = result.checkpoint_path
+    services = load_shard_services(
         spec,
-        dataset,
-        num_shards,
-        fallbacks=fallbacks,
+        regions,
+        num_features=features,
+        scaler_states=states,
+        checkpoint_paths=checkpoints,
+        fallbacks=() if spec.model in DEFAULT_FALLBACKS else DEFAULT_FALLBACKS,
         warm_batch_sizes=(1, max_batch),
-        max_batch=max_batch,
-        max_wait_seconds=max_wait_seconds,
     )
-    return router, dataset.test_view().raw_x()
+    router = ShardRouter(
+        regions, services, max_batch=max_batch, max_wait_seconds=max_wait_seconds
+    )
+    dataset = dataset_from_tensor(tensor, history=spec.history, horizon=spec.horizon)
+    return router, dataset
 
 
 __all__ = [
+    "DEFAULT_FALLBACKS",
     "DEMO_HPARAMS",
     "ShardRegion",
     "ShardReport",
     "ShardRouter",
     "ShardedResponse",
+    "demo_spec",
     "load_shard_services",
     "partition_grid",
-    "router_from_dataset",
     "synthetic_router",
 ]

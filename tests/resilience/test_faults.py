@@ -1,5 +1,5 @@
-"""The fault-injection harness itself: plans fire once, helpers are
-byte-deterministic, and the serve-side shim still exports the injectors."""
+"""The fault-injection harness itself: plans fire once and helpers are
+byte-deterministic."""
 
 import os
 from types import SimpleNamespace
@@ -101,11 +101,3 @@ class TestByteCorruption:
         assert path.stat().st_size == 50
         with pytest.raises(ValueError):
             faults.truncate_file(str(path), keep_fraction=1.0)
-
-
-class TestServeShim:
-    def test_serve_faults_reexports_shared_injectors(self):
-        from repro.serve import faults as serve_faults
-
-        assert serve_faults.FaultInjectingForecaster is faults.FaultInjectingForecaster
-        assert serve_faults.SlowForecaster is faults.SlowForecaster

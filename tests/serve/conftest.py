@@ -130,7 +130,8 @@ def manual_shard_services(dataset, regions, *, poisoned=(), failing=()):
 
 
 def make_shard_router(dataset, num_shards=2, **kwargs):
-    """A 2-shard router over hand-built services; close it when done."""
+    """A router over hand-built services (two shards by default); close it
+    when done."""
     from repro.serve.shard import ShardRouter, partition_grid
 
     regions = partition_grid(dataset.grid_shape, num_shards)

@@ -193,7 +193,9 @@ class TestErrorHandling:
             time.sleep(0.01)
         assert rejected.value == before + 1
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), -1.0]
+    )
     def test_non_finite_window_is_400(self, gateway_factory, raw_windows, bad):
         gateway = gateway_factory()
         window = raw_windows[0].tolist()

@@ -1,4 +1,4 @@
-"""load_service / load_forecaster: the offline→online handoff."""
+"""load_shard_services / load_forecaster: the offline→online handoff."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,22 @@ import pytest
 from repro.data.normalization import MinMaxScaler
 from repro.pipeline import RunSpec, execute
 from repro.pipeline.loading import load_forecaster
-from repro.serve import load_service, service_from_dataset
+from repro.serve import load_shard_services, partition_grid
+
+
+def load_one_shard(dataset, spec, *, scaler_state, **kwargs):
+    """The one service of a 1-shard pool over the dataset's geometry."""
+    (region,) = partition_grid(dataset.grid_shape, 1)
+    services = load_shard_services(
+        spec,
+        (region,),
+        num_features=dataset.num_features,
+        history=dataset.history,
+        horizon=dataset.horizon,
+        scaler_states={region.name: scaler_state},
+        **kwargs,
+    )
+    return services[region.name]
 
 
 @pytest.fixture(scope="module")
@@ -63,12 +78,15 @@ class TestCheckpointHandoff:
             np.asarray(fresh.predict(x)), np.asarray(restored.predict(x))
         )
 
-    def test_service_from_dataset_serves_the_trained_model(
+    def test_loaded_shard_serves_the_trained_model(
         self, serve_dataset, trained_run, raw_windows
     ):
         spec, result = trained_run
-        service = service_from_dataset(
-            spec, serve_dataset, checkpoint_path=result.checkpoint_path
+        service = load_one_shard(
+            serve_dataset,
+            spec,
+            scaler_state=serve_dataset.scaler.state(),
+            checkpoint_paths={"shard0": result.checkpoint_path},
         )
         assert service.tier_names == ("STGCN", "Persistence")
 
@@ -101,37 +119,15 @@ class TestCheckpointHandoff:
 
 
 class TestServiceAssembly:
-    def test_requires_exactly_one_scaler_source(self, serve_dataset):
-        spec = RunSpec(model="Persistence")
-        kwargs = dict(
-            grid_shape=serve_dataset.grid_shape,
-            num_features=serve_dataset.num_features,
-            history=serve_dataset.history,
-            horizon=serve_dataset.horizon,
-            fallbacks=(),
-        )
-        with pytest.raises(ValueError, match="exactly one"):
-            load_service(spec, **kwargs)
-        with pytest.raises(ValueError, match="exactly one"):
-            load_service(
-                spec,
-                scaler=serve_dataset.scaler,
-                scaler_state=serve_dataset.scaler.state(),
-                **kwargs,
-            )
-
     def test_scaler_state_restores_robust_scaler(self, serve_dataset, rng):
         """A robust (quantile) scaler shipped as persisted state must stay
         robust in the service — the quantile key survives the round trip."""
         data = rng.random((40, 4, 4, 3)) * 50.0
         robust = MinMaxScaler(quantile=0.9).fit(data)
-        service = load_service(
+        service = load_one_shard(
+            serve_dataset,
             RunSpec(model="Persistence"),
             scaler_state=robust.state(),
-            grid_shape=serve_dataset.grid_shape,
-            num_features=serve_dataset.num_features,
-            history=serve_dataset.history,
-            horizon=serve_dataset.horizon,
             fallbacks=(),
         )
         assert service.scaler.quantile == 0.9
@@ -141,12 +137,9 @@ class TestServiceAssembly:
 
     def test_fallback_duplicating_primary_rejected(self, serve_dataset):
         with pytest.raises(ValueError, match="duplicates the primary"):
-            load_service(
+            load_one_shard(
+                serve_dataset,
                 RunSpec(model="Persistence"),
-                scaler=serve_dataset.scaler,
-                grid_shape=serve_dataset.grid_shape,
-                num_features=serve_dataset.num_features,
-                history=serve_dataset.history,
-                horizon=serve_dataset.horizon,
+                scaler_state=serve_dataset.scaler.state(),
                 fallbacks=("Persistence",),
             )

@@ -17,7 +17,8 @@ import pytest
 from repro.obs import tracing
 from repro.obs.runlog import RunLogger, read_events
 from repro.obs.serve_metrics import start_exporter
-from repro.serve import ForecastService, MicroBatcher, SlowForecaster
+from repro.faults import SlowForecaster
+from repro.serve import ForecastService, MicroBatcher
 
 from .conftest import ConstantForecaster, ThresholdFaultForecaster
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.normalization import MinMaxScaler
+from repro.faults import SlowForecaster
 from repro.obs import metrics as obs_metrics
 from repro.pipeline import registry
 from repro.serve import (
@@ -12,7 +13,6 @@ from repro.serve import (
     REASON_PREDICTED_DEADLINE,
     ForecastService,
     PartialBatchError,
-    SlowForecaster,
 )
 
 from .conftest import (

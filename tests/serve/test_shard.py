@@ -6,7 +6,8 @@ The contract under test (docs/ARCHITECTURE.md "Sharded serving"):
   near-square blocks;
 - the router's merged demand is bit-identical to calling each shard's
   service directly — including when a shard is fault-injected into its
-  fallback tier (via :mod:`repro.faults`);
+  fallback tier (via :mod:`repro.faults`), and with one shard, where the
+  router is the unsharded deployment;
 - one degraded shard degrades the merged answer; one *failed* shard fills
   its region from the router-level persistence floor without failing the
   city.
@@ -15,16 +16,19 @@ The contract under test (docs/ARCHITECTURE.md "Sharded serving"):
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.data.datasets import dataset_from_tensor
 from repro.pipeline.runner import execute
 from repro.pipeline.spec import RunSpec
+from repro.serve.service import ServiceTier
 from repro.serve.shard import (
     ShardRegion,
     ShardRouter,
+    demo_spec,
     load_shard_services,
     obs_metrics,
     partition_grid,
-    router_from_dataset,
+    synthetic_router,
 )
 
 from .conftest import make_shard_router, manual_shard_services
@@ -83,11 +87,12 @@ class TestPartitionGrid:
 # router construction + merge semantics
 # ----------------------------------------------------------------------
 class TestShardRouterMerge:
+    @pytest.mark.parametrize("num_shards", [2, 1])
     def test_merged_demand_is_bit_identical_to_direct_shard_calls(
-        self, serve_dataset, raw_windows
+        self, serve_dataset, raw_windows, num_shards
     ):
         window = raw_windows[0]
-        with make_shard_router(serve_dataset) as router:
+        with make_shard_router(serve_dataset, num_shards) as router:
             merged = router.forecast(window)
             for region in router.regions:
                 direct = router.services[region.name].predict_one(
@@ -99,14 +104,17 @@ class TestShardRouterMerge:
                 assert np.array_equal(block, direct.demand)
         assert not merged.degraded
         assert not merged.failed_shards
-        assert merged.tier == "Primary|Primary"
+        assert merged.tier == "|".join(["Primary"] * num_shards)
         assert merged.demand.shape == (serve_dataset.horizon,) + serve_dataset.grid_shape
 
+    @pytest.mark.parametrize("num_shards", [2, 1])
     def test_one_degraded_shard_degrades_the_merged_answer(
-        self, serve_dataset, raw_windows
+        self, serve_dataset, raw_windows, num_shards
     ):
         window = raw_windows[0]
-        with make_shard_router(serve_dataset, poisoned=("shard0",)) as router:
+        with make_shard_router(
+            serve_dataset, num_shards, poisoned=("shard0",)
+        ) as router:
             merged = router.forecast(window)
             # Bit-identity must survive degradation: the injector is a
             # pure function of the window bytes, so the direct call
@@ -124,8 +132,9 @@ class TestShardRouterMerge:
         by_name = {report.shard: report for report in merged.shards}
         assert by_name["shard0"].tier == "Floor"
         assert by_name["shard0"].degraded and not by_name["shard0"].failed
-        assert by_name["shard1"].tier == "Primary"
-        assert not by_name["shard1"].degraded
+        for report in merged.shards[1:]:
+            assert report.tier == "Primary"
+            assert not report.degraded
 
     def test_one_failed_shard_floors_its_region_not_the_city(
         self, serve_dataset, raw_windows
@@ -172,7 +181,9 @@ class TestShardRouterMerge:
             with pytest.raises(ValueError, match="full-grid window"):
                 router.forecast(raw_windows[0][:, :2])
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), -1.0]
+    )
     def test_non_finite_window_is_rejected(self, serve_dataset, raw_windows, bad):
         window = raw_windows[0].copy()
         window[0, 0, 0, 0] = bad
@@ -228,20 +239,6 @@ class TestShardRouterValidation:
 # per-shard scaler / checkpoint wiring
 # ----------------------------------------------------------------------
 class TestLoadShardServices:
-    def test_requires_exactly_one_scaler_source(self, serve_dataset):
-        regions = partition_grid(serve_dataset.grid_shape, 2)
-        spec = RunSpec(model="Persistence", history=5, horizon=2, epochs=0, seed=0)
-        with pytest.raises(ValueError, match="exactly one"):
-            load_shard_services(spec, regions, num_features=3)
-        with pytest.raises(ValueError, match="exactly one"):
-            load_shard_services(
-                spec,
-                regions,
-                num_features=3,
-                scaler=serve_dataset.scaler,
-                scaler_states={},
-            )
-
     def test_scaler_states_must_cover_every_shard(self, serve_dataset):
         regions = partition_grid(serve_dataset.grid_shape, 2)
         spec = RunSpec(model="Persistence", history=5, horizon=2, epochs=0, seed=0)
@@ -314,24 +311,41 @@ class TestLoadShardServices:
         assert merged.demand.shape == (2, 4, 4)
         assert not merged.failed_shards
 
-    def test_router_from_dataset_shares_the_full_grid_scaler(
-        self, serve_dataset, raw_windows
+
+# ----------------------------------------------------------------------
+# synthetic_router: the gateway demo's and the serve bench's pool
+# ----------------------------------------------------------------------
+class TestSyntheticRouter:
+    def test_one_shard_router_answers_as_the_direct_service_under_faults(
+        self, tmp_path
     ):
-        spec = RunSpec(model="Persistence", history=5, horizon=2, epochs=0, seed=0)
-        with router_from_dataset(
-            spec, serve_dataset, 2, fallbacks=(), max_wait_seconds=0.0
-        ) as router:
-            assert all(
-                service.scaler is serve_dataset.scaler
-                for service in router.services.values()
-            )
-            merged = router.forecast(raw_windows[0])
-            for region in router.regions:
-                direct = router.services[region.name].predict_one(
-                    region.slice_window(raw_windows[0])
-                )
-                block = merged.demand[
-                    :, region.rows[0] : region.rows[1], region.cols[0] : region.cols[1]
-                ]
-                assert np.array_equal(block, direct.demand)
-        assert merged.tier == "Persistence|Persistence"
+        """The 1-shard router is the unsharded deployment: for every test
+        window it answers exactly what its one service answers directly,
+        bit for bit and from the same tier, with the trained primary
+        failing half the windows."""
+        spec = demo_spec(history=5, horizon=2, epochs=1)
+        router, dataset = synthetic_router(
+            spec,
+            grid=(4, 4),
+            num_shards=1,
+            features=3,
+            slots=40,
+            checkpoint_dir=str(tmp_path),
+            max_wait_seconds=0.0,
+        )
+        with router:
+            service = router.services["shard0"]
+            primary = service.tiers[0]
+            service.tiers = (
+                ServiceTier(
+                    primary.name, faults.FaultInjectingForecaster(primary.forecaster, 0.5)
+                ),
+            ) + service.tiers[1:]
+            tiers = []
+            for window in dataset.test_view().raw_x():
+                merged = router.forecast(window)
+                direct = service.predict_one(window)
+                assert np.array_equal(merged.demand, direct.demand)
+                assert merged.tier == direct.tier
+                tiers.append(direct.tier)
+        assert set(tiers) == {"BikeCAP", "Persistence"}

@@ -56,15 +56,17 @@ def test_bench_module_smoke(module, tmp_path):
     [
         [],  # happy path
         ["--fault-rate", "0.5"],  # degraded traffic still answers
+        ["--model", "Persistence"],  # a persistence primary gets no floor
     ],
-    ids=["clean", "degraded"],
+    ids=["clean", "degraded", "persistence"],
 )
 def test_serve_bench_smoke(extra, tmp_path):
     """``python -m repro.serve.bench`` end to end, tiny geometry.
 
-    Covers the acceptance loop: the CLI must run, write BENCH_serve.json
-    with the gauges bench_compare diffs, and — with faults injected — keep
-    answering through the degradation chain instead of erroring out.
+    Covers the acceptance loop: the CLI must run a 1-shard router, write
+    BENCH_serve.json with the gauges bench_compare diffs, and — with faults
+    injected — keep answering through the degradation chain instead of
+    erroring out.
     """
     import json
 
@@ -109,9 +111,14 @@ def test_serve_bench_smoke(extra, tmp_path):
         assert key in gauges, key
     assert payload["requests"] == 12
     assert gauges["bench_serve_throughput_rps"] > 0
-    if extra:  # fault injection must actually exercise the fallback tier
+    assert payload["config"]["shards"] == 1
+    (shard,) = payload["shards"].values()
+    assert sum(shard["batch_sizes"]) == 12
+    if "--fault-rate" in extra:  # injection must exercise the fallback tier
         assert gauges["bench_serve_degraded_fraction"] > 0
-        assert payload["tier_counts"].get("Persistence", 0) > 0
+        assert shard["tier_counts"].get("Persistence", 0) > 0
+    if "Persistence" in extra:
+        assert shard["tier_counts"] == {"Persistence": 12}
 
 
 @pytest.mark.parametrize(
@@ -125,10 +132,9 @@ def test_serve_bench_smoke(extra, tmp_path):
 def test_serve_bench_sharded_smoke(extra, tmp_path):
     """``python -m repro.serve.bench --shards N`` end to end.
 
-    The sharded closed loop must run clean *and* faulted, writing the
-    sharded throughput/latency/degradation gauges bench_compare gates
-    (``*_throughput_rps`` is auto-gated by suffix) plus the per-shard
-    breakdown.
+    The sharded closed loop must run clean *and* faulted, writing the same
+    throughput/latency/degradation gauges as one shard (bench_compare
+    gates ``*_throughput_rps`` by suffix) plus the per-shard breakdown.
     """
     import json
 
@@ -165,20 +171,21 @@ def test_serve_bench_sharded_smoke(extra, tmp_path):
         payload = json.load(handle)
     gauges = payload["gauges"]
     for key in (
-        "bench_serve_sharded_latency_mean_seconds",
-        "bench_serve_sharded_latency_p50_seconds",
-        "bench_serve_sharded_latency_p99_seconds",
-        "bench_serve_sharded_throughput_rps",
-        "bench_serve_sharded_degraded_fraction",
-        "bench_serve_sharded_deadline_missed_fraction",
+        "bench_serve_latency_mean_seconds",
+        "bench_serve_latency_p50_seconds",
+        "bench_serve_latency_p99_seconds",
+        "bench_serve_throughput_rps",
+        "bench_serve_degraded_fraction",
+        "bench_serve_deadline_missed_fraction",
     ):
         assert key in gauges, key
-    assert gauges["bench_serve_sharded_throughput_rps"] > 0
+    assert gauges["bench_serve_throughput_rps"] > 0
+    assert payload["config"]["shards"] == 2
     assert set(payload["shards"]) == {"shard0", "shard1"}
     for shard in payload["shards"].values():
-        assert shard["batches"] > 0
+        assert sum(shard["batch_sizes"]) == 12
     if extra:  # injected faults must surface as merged degradation
-        assert gauges["bench_serve_sharded_degraded_fraction"] > 0
+        assert gauges["bench_serve_degraded_fraction"] > 0
         assert any(
             tier != "BikeCAP"
             for shard in payload["shards"].values()

@@ -10,6 +10,7 @@ import urllib.request
 import numpy as np
 
 from perfbench import common, serving
+from perfbench import spans as spanlib
 
 from repro.nn import config
 
@@ -61,11 +62,70 @@ def test_load_forecaster_builds_the_spec_geometry():
     assert forecaster.predict(window).shape == (1, spec.horizon, 4, 4)
 
 
+def test_shards_load_route_and_ingest_as_the_serving_workloads_call_them(tmp_path):
+    # perfbench/server.py and perfbench/shards4_ingest.py, in miniature.
+    from repro.serve import (
+        DriftMonitor,
+        IngestionPipeline,
+        ShardRouter,
+        load_shard_services,
+        partition_grid,
+    )
+    from repro.store import WindowStore
+
+    spec = serving.make_spec(tiny=True)
+    history, horizon = spec.history, spec.horizon
+    tensor = np.random.default_rng(0).random((40, 4, 4, 4)) * 10.0
+    regions = partition_grid((4, 4), 2)
+    states, checkpoints = {}, {}
+    for region in regions:
+        shard = serving.make_dataset(region.slice_tensor(tensor))
+        checkpoints[region.name] = serving.train(spec, shard, str(tmp_path / region.name))
+        states[region.name] = shard.scaler.state()
+    services = load_shard_services(
+        spec, regions, num_features=4, history=history, horizon=horizon,
+        scaler_states=states, checkpoint_paths=checkpoints,
+        warm_batch_sizes=serving.WARM_BATCH_SIZES,
+    )
+    recorder = spanlib.Recorder()
+    router = ShardRouter(
+        regions, services, max_batch=serving.MAX_BATCH,
+        max_wait_seconds=serving.MAX_WAIT_SECONDS, clock=recorder.stamping_clock(),
+    )
+    try:
+        assert router.regions == regions and set(router.services) == set(states)
+        serving.wrap_router(recorder, router)
+        response = router.forecast(tensor[:history], deadline_seconds=1.0)
+        assert response.demand.shape == (horizon, 4, 4)
+        assert [report.tier for report in response.shards] == ["BikeCAP", "BikeCAP"]
+        assert router.batch_sizes == {"shard0": [1], "shard1": [1]}
+        names = {span[1] for span in recorder.spans}
+        assert {"shard.route", "service.predict_batch", "service.normalize",
+                "service.forward", "service.denormalize"} <= names
+
+        for region in router.regions:
+            service = router.services[region.name]
+            store = WindowStore(service.history, service.horizon,
+                                target_feature=service.target_feature,
+                                scaler=service.scaler, normalize=False)
+            pipeline = IngestionPipeline(
+                store, service=service, monitor=DriftMonitor(service, label=region.name),
+                update_scaler=False, label=region.name,
+            )
+            reports = [pipeline.ingest(region.slice_tensor(slot[None]))
+                       for slot in tensor[: history + horizon]]
+            assert sum(report.appended_slots for report in reports) == history + horizon
+            (ready,) = [ready for report in reports for ready in report.ready]
+            assert ready.report is not None
+    finally:
+        router.close()
+
+
 def test_gateway_starts_on_a_port_and_stops():
     from repro.serve.gateway import ForecastGateway
-    from repro.serve.shard import synthetic_router
+    from repro.serve.shard import demo_spec, synthetic_router
 
-    router, _ = synthetic_router(grid=(4, 4), num_shards=1, slots=40)
+    router, _ = synthetic_router(demo_spec(), grid=(4, 4), num_shards=1, slots=40)
     gateway = ForecastGateway(router).start()
     try:
         url = f"http://127.0.0.1:{gateway.port}/healthz"
