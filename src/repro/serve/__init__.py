@@ -34,10 +34,9 @@ package is that loop, built on the pipeline's offline artifacts:
 - :mod:`repro.serve.shard` — :func:`partition_grid` / :class:`ShardRouter`:
   the one way a forecast request is answered, with one shard as the
   unsharded case. Contiguous region shards each run their own service
-  (own scaler, own checkpoint) behind their own micro-batcher; the router
-  scatters a full-grid window, gathers the partial demands, and merges
-  degradation honestly (per-shard reports; one degraded shard degrades the
-  merged answer, one failed shard falls back to that shard's floor).
+  (own scaler, own checkpoint); the router's one micro-batcher runs each
+  batch through the shards in turn and merges degradation honestly (one
+  degraded shard degrades the answer, a failed one falls back to its floor).
   :func:`load_shard_services` is the one loader: RunSpec + per-shard
   checkpoint + per-shard scaler state → warmed services (models built via
   the pipeline registry only; layering keeps ``serve`` off

@@ -3,10 +3,12 @@
 Concurrent clients each submit one window; a single worker thread drains
 the queue, stacks up to ``max_batch`` windows (waiting at most
 ``max_wait_seconds`` after the first arrival for stragglers), and answers
-them all with **one** :meth:`ForecastService.predict_batch` call. Because
-the coalesced pass *is* a single sequential ``predict`` over the stacked
-windows in arrival order, its responses are bit-identical to calling the
-service directly with that batch — pinned by
+them all with **one** ``service.predict_batch`` call. The service is
+anything with a ``window_shape`` and a ``predict_batch``: a
+:class:`~repro.serve.shard.ShardRouter` (its one batcher) or a
+:class:`~repro.serve.service.ForecastService`. The coalesced pass *is* one
+``predict_batch`` over the stacked windows in arrival order, so responses
+are bit-identical to a direct call with that batch — pinned by
 ``tests/serve/test_batching.py``.
 
 The worker owns all model execution, so the numpy substrate's per-thread
@@ -27,7 +29,7 @@ import numpy as np
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
-from repro.serve.service import ForecastResponse, ForecastService, PartialBatchError
+from repro.serve.service import PartialBatchError, check_shape
 
 
 @dataclass
@@ -47,7 +49,7 @@ class MicroBatcher:
 
     def __init__(
         self,
-        service: ForecastService,
+        service,
         max_batch: int = 8,
         max_wait_seconds: float = 0.002,
         clock=time.monotonic,
@@ -74,18 +76,14 @@ class MicroBatcher:
     def submit(
         self, window: np.ndarray, deadline_seconds: Optional[float] = None
     ) -> Future:
-        """Enqueue one raw window; resolves to a :class:`ForecastResponse`.
+        """Enqueue one raw window; resolves to the service's response.
 
         ``deadline_seconds`` is a budget measured from *now* (submission),
         so time spent queued counts against it — exactly the latency the
         caller experiences.
         """
         window = np.asarray(window, dtype=float)
-        if window.shape != self.service.window_shape:
-            raise ValueError(
-                f"expected one raw window of shape {self.service.window_shape}, "
-                f"got {window.shape}"
-            )
+        check_shape(window, self.service.window_shape, "one raw window")
         now = self._clock()
         deadline = now + float(deadline_seconds) if deadline_seconds is not None else None
         submission = _Submission(
@@ -109,9 +107,7 @@ class MicroBatcher:
             self._arrived.notify()
         return submission.future
 
-    def forecast(
-        self, window: np.ndarray, deadline_seconds: Optional[float] = None
-    ) -> ForecastResponse:
+    def forecast(self, window: np.ndarray, deadline_seconds: Optional[float] = None):
         """Blocking sugar: submit one window and wait for its response."""
         return self.submit(window, deadline_seconds=deadline_seconds).result()
 
@@ -212,7 +208,7 @@ class MicroBatcher:
             self._resolve(submission, response)
 
     @staticmethod
-    def _resolve(submission: _Submission, response: ForecastResponse) -> None:
+    def _resolve(submission: _Submission, response) -> None:
         submission.span.end(
             tier=response.tier,
             degraded=response.degraded,

@@ -109,8 +109,8 @@ def run_load(router, raw_windows, args):
     per_client = args.requests // args.clients
     if per_client < 1:
         raise SystemExit("--requests must be >= --clients")
-    # The batchers outlive one load (``--trace-overhead`` runs a reference
-    # load first): report only the batches this load coalesced.
+    # The router's batcher outlives one load (``--trace-overhead`` runs a
+    # reference load first): report only the batches this load coalesced.
     already = {name: len(sizes) for name, sizes in router.batch_sizes.items()}
 
     def client(offset: int) -> None:

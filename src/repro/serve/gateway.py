@@ -19,8 +19,8 @@ thread per connection, same shape as the telemetry exporter) that turns
   counts; ``{"enabled": false, ...}`` when no controller is attached).
 
 Every request runs under a ``gateway.request`` span, so recorded traces
-nest gateway → ``serve.route`` → per-shard ``serve.request`` spans, and
-increments ``gateway_requests_total{route=…,status=…}``.
+nest gateway → ``serve.route`` → ``serve.request`` → one ``serve.shard``
+span per region, and increments ``gateway_requests_total{route=…,status=…}``.
 
 Layering (scripts/check_layering.py rule 12): this module speaks stdlib
 HTTP on one side and ``repro.serve`` on the other — it imports nothing

@@ -12,8 +12,8 @@ service that shares the store's scaler.
 Lifecycle (see docs/DATAFLOW.md):
 
 1. ``ingest(slots)`` checks that the slots hold finite, non-negative counts
-   (the same check the router applies to request windows), then appends
-   them;
+   shaped for the attached service's grid (the checks the router applies
+   to request windows), then appends them;
 2. each time a window's full horizon lands, ``ingest`` returns it as a
    :class:`ReadyWindow` (raw history + realized target demand) and — if a
    :class:`~repro.serve.monitor.DriftMonitor` is attached — feeds it
@@ -33,7 +33,7 @@ import numpy as np
 from repro.obs import metrics as obs_metrics
 from repro.obs import runlog
 from repro.serve.monitor import DriftMonitor
-from repro.serve.service import ForecastService, check_counts
+from repro.serve.service import ForecastService, check_counts, check_shape
 from repro.store import WindowStore
 
 
@@ -108,10 +108,14 @@ class IngestionPipeline:
         Returns the newly completed windows; with a monitor attached each
         one has already been predicted and scored against its realized
         demand (``report`` holds the drift verdict). Slots that are not
-        finite, non-negative counts raise ``ValueError`` before anything
-        is appended or folded into the scaler.
+        finite, non-negative counts, or not shaped for the attached
+        service's ``(G1, G2, F)``, raise ``ValueError`` before anything is
+        appended or folded into the scaler.
         """
         slots = np.asarray(slots)
+        if self.service is not None:  # one bare slot or a stack of them
+            frame = self.service.grid_shape + (self.service.num_features,)
+            check_shape(slots, slots.shape[:-3] + frame, "slots")
         check_counts(slots, "slots")
         appended = self.store.extend(slots, update_scaler=self.update_scaler)
         obs_metrics.counter("serve_ingest_slots_total", service=self.label).inc(appended)

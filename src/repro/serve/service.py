@@ -71,10 +71,18 @@ REASON_PREDICTED_DEADLINE = "predicted_deadline"
 _EWMA_ALPHA = 0.3
 
 
+def check_shape(values: np.ndarray, shape: Tuple[int, ...], what: str) -> None:
+    """Raise ``ValueError`` unless ``values`` has exactly ``shape``: the
+    serving boundary's shape check, for request windows and ingested slots
+    (before the first slot can fix a store's frame shape for good)."""
+    if values.shape != tuple(shape):
+        raise ValueError(f"expected {what} of shape {tuple(shape)}, got {values.shape}")
+
+
 def check_counts(values: np.ndarray, what: str) -> None:
     """Raise ``ValueError`` unless every value is a finite, non-negative count.
 
-    The one input check the two serving boundaries share: the router
+    The one count check the two serving boundaries share: the router
     before it submits a window, ingestion before it appends slots.
     ``json.loads`` yields NaN and infinities, and a negative count folded
     into ``partial_fit`` would widen the scaler's extrema for good.
@@ -92,8 +100,8 @@ class PartialBatchError(RuntimeError):
     ``responses`` aligns with the request batch and holds every
     :class:`ForecastResponse` that was computed (``None`` at the broken
     indices); ``errors`` maps each broken index to the exception its floor
-    attempt raised. Batch callers (the :class:`~repro.serve.batching.
-    MicroBatcher`) resolve the survivors and fail only the broken futures.
+    attempt raised. Batch callers keep the survivors: the shard router floors
+    only the broken requests' blocks, a bare batcher fails only their futures.
     """
 
     def __init__(self, responses, errors):
@@ -367,10 +375,7 @@ class ForecastService:
     ) -> ForecastResponse:
         """Answer a single raw window; sugar over :meth:`predict_batch`."""
         window = np.asarray(window, dtype=float)
-        if window.shape != self.window_shape:
-            raise ValueError(
-                f"expected one raw window of shape {self.window_shape}, got {window.shape}"
-            )
+        check_shape(window, self.window_shape, "one raw window")
         deadline = None
         if deadline_seconds is not None:
             deadline = self._clock() + float(deadline_seconds)
@@ -400,10 +405,7 @@ class ForecastService:
         whose deadline rules it out) walk down the chain.
         """
         windows = np.asarray(windows, dtype=float)
-        if windows.ndim != len(self.window_shape) + 1 or windows.shape[1:] != self.window_shape:
-            raise ValueError(
-                f"expected raw windows of shape (N, {self.window_shape}), got {windows.shape}"
-            )
+        check_shape(windows, windows.shape[:1] + self.window_shape, "raw windows")
         now = self._clock()
         count = len(windows)
         if deadlines is None:
@@ -592,7 +594,13 @@ class ForecastService:
             "serve_degradations_total", tier=tier.name, reason=reason
         ).inc()
         tracing.event("serve.skip", parent=request.ctx, tier=tier.name, reason=reason)
-        runlog.emit("serve_degraded", tier=tier.name, reason=reason, detail=detail)
+        runlog.emit(
+            "serve_degraded",
+            tier=tier.name,
+            reason=reason,
+            detail=detail,
+            trace_id=request.ctx.trace_id if request.ctx else None,
+        )
 
     def _update_ewma(self, tier_name: str, per_window_seconds: float) -> None:
         previous = self._latency_ewma.get(tier_name)

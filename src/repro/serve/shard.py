@@ -1,4 +1,4 @@
-"""Region-sharded serving: partition the city grid, scatter, gather, merge.
+"""Region-sharded serving: partition the city grid, answer shard by shard, merge.
 
 One :class:`~repro.serve.service.ForecastService` per *region shard* is the
 city-scale deployment shape (ROADMAP item 2): each shard owns a contiguous
@@ -11,10 +11,10 @@ per-shard normalization is a feature, not an accident. The pieces:
   unsharded deployment.
 - :func:`load_shard_services` — the one loader: spec + per-shard checkpoint
   + per-shard persisted scaler state → one warmed service per region.
-- :class:`ShardRouter` — scatters a full-grid request window to one
-  :class:`~repro.serve.batching.MicroBatcher` per shard, gathers the partial
-  demands and merges them into one :class:`ShardedResponse`. It is the only
-  path that answers a forecast request.
+- :class:`ShardRouter` — one :class:`~repro.serve.batching.MicroBatcher`
+  whose worker runs each coalesced batch through every shard's service in
+  turn and merges each request's blocks into one :class:`ShardedResponse`.
+  It is the only path that answers a forecast request.
 - :func:`synthetic_router` — a synthetic city behind a router, for the
   gateway CLI demo and the serve bench.
 
@@ -31,9 +31,14 @@ Merge semantics are honest by construction:
   have answered with), the report says ``failed=True`` with the error, and
   ``serve_shard_failures_total{shard=…}`` counts it.
 
-Tracing: ``ShardRouter.forecast`` opens a ``serve.route`` span on the
-calling thread; each per-shard submission's ``serve.request`` span starts
-under it, so gateway → router → shard spans link into one trace.
+Shards run in region order on one thread (threads per shard only contended
+for the interpreter lock), so a later shard's deadline check sees the
+earlier shards' time, as the caller does.
+
+Tracing: ``forecast`` opens ``serve.route`` on the calling thread, the
+submission's ``serve.request`` starts under it, and the worker starts one
+``serve.shard`` span per region (``shard``, ``tier``) from that request's
+context: gateway → route → request → shard spans form one trace.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from repro.pipeline.loading import load_forecaster
 from repro.pipeline.runner import execute
 from repro.pipeline.spec import RunSpec
 from repro.serve.batching import MicroBatcher
-from repro.serve.service import ForecastResponse, ForecastService, check_counts
+from repro.serve.service import ForecastService, PartialBatchError, check_counts, check_shape
 from repro.store import MinMaxScaler
 
 # The floor tier under every primary: persistence needs no training and
@@ -91,13 +96,12 @@ class ShardRegion:
     def grid_shape(self) -> Tuple[int, int]:
         return (self.rows[1] - self.rows[0], self.cols[1] - self.cols[0])
 
-    def slice_window(self, window: np.ndarray) -> np.ndarray:
-        """This region's block of a full-grid window ``(h, G1, G2, F)``."""
-        return window[:, self.rows[0] : self.rows[1], self.cols[0] : self.cols[1], :]
+    def slice_window(self, values: np.ndarray) -> np.ndarray:
+        """This region's block of a ``(..., G1, G2, F)`` array: a window,
+        a stack of windows or a raw slot tensor."""
+        return values[..., self.rows[0] : self.rows[1], self.cols[0] : self.cols[1], :]
 
-    def slice_tensor(self, tensor: np.ndarray) -> np.ndarray:
-        """This region's block of a raw slot tensor ``(T, G1, G2, F)``."""
-        return tensor[:, self.rows[0] : self.rows[1], self.cols[0] : self.cols[1], :]
+    slice_tensor = slice_window
 
     def place(self, grid: np.ndarray, block: np.ndarray) -> None:
         """Write this region's demand block into a ``(p, G1, G2)`` grid."""
@@ -187,7 +191,7 @@ class ShardedResponse:
     demand: np.ndarray  # (p, G1, G2) raw demand counts, all regions filled
     degraded: bool  # any shard degraded OR failed
     deadline_missed: bool  # any shard missed its deadline
-    latency_seconds: float  # scatter → last gather, as the caller saw it
+    latency_seconds: float  # submission → merged answer, as the caller saw it
     shards: Tuple[ShardReport, ...] = ()
     failed_shards: Tuple[str, ...] = ()
     # The trace this answer belongs to (the gateway.request's, behind the
@@ -213,7 +217,7 @@ class ShardedResponse:
 
 
 class ShardRouter:
-    """Scatter full-grid windows to per-shard batchers; gather and merge."""
+    """Batch full-grid windows, answer each batch shard by shard, merge."""
 
     def __init__(
         self,
@@ -266,19 +270,15 @@ class ShardRouter:
         self.num_features = reference.num_features
         self.target_feature = reference.target_feature
         self._clock = clock
-        self._batchers: Dict[str, MicroBatcher] = {
-            region.name: MicroBatcher(
-                self.services[region.name],
-                max_batch=max_batch,
-                max_wait_seconds=max_wait_seconds,
-                clock=clock,
-            )
-            for region in self.regions
-        }
         # Per-shard AdaptationControllers (repro.serve.adapt), attached
         # after construction; shards adapt independently — downtown can
         # drift and fine-tune while the suburbs keep their model.
         self._adaptation: Dict[str, object] = {}
+        # One queue and one worker thread for every shard: the worker
+        # answers each coalesced batch through predict_batch below.
+        self._batcher = MicroBatcher(
+            self, max_batch=max_batch, max_wait_seconds=max_wait_seconds, clock=clock
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -288,8 +288,8 @@ class ShardRouter:
 
     @property
     def batch_sizes(self) -> Dict[str, List[int]]:
-        """Per-shard coalesced batch sizes, for bench reporting."""
-        return {name: list(b.batch_sizes) for name, b in self._batchers.items()}
+        """Per-shard coalesced batch sizes: every shard answers every batch."""
+        return {region.name: list(self._batcher.batch_sizes) for region in self.regions}
 
     def attach_adaptation(self, controllers: Mapping[str, object]) -> None:
         """Register per-shard adaptation controllers (name → controller).
@@ -330,108 +330,99 @@ class ShardRouter:
         ]
 
     # ------------------------------------------------------------------
-    def forecast(
-        self, window, deadline_seconds: Optional[float] = None
-    ) -> ShardedResponse:
-        """Answer one full-grid window by scatter → per-shard gather → merge."""
+    def forecast(self, window, deadline_seconds: Optional[float] = None) -> ShardedResponse:
+        """Answer one full-grid window: submit it, wait, return the merge."""
         window = np.asarray(window, dtype=float)
-        if window.shape != self.window_shape:
-            raise ValueError(
-                f"expected one raw full-grid window of shape {self.window_shape}, "
-                f"got {window.shape}"
-            )
+        check_shape(window, self.window_shape, "one raw full-grid window")
         check_counts(window, "window")
         began = self._clock()
         obs_metrics.counter("serve_router_requests_total").inc()
         with tracing.span("serve.route", shards=len(self.regions)) as route_span:
-            futures = []
-            for region in self.regions:
-                obs_metrics.counter(
-                    "serve_shard_requests_total", shard=region.name
-                ).inc()
-                futures.append(
-                    self._batchers[region.name].submit(
-                        region.slice_window(window),
-                        deadline_seconds=deadline_seconds,
-                    )
-                )
-
-            demand = np.empty((self.horizon,) + self.grid_shape, dtype=float)
-            reports: List[ShardReport] = []
-            failed: List[str] = []
-            for region, future in zip(self.regions, futures):
-                try:
-                    response: ForecastResponse = future.result()
-                except Exception as error:  # noqa: BLE001 - shard loss degrades
-                    region.place(demand, self._floor(window, region))
-                    reports.append(
-                        ShardReport(
-                            shard=region.name,
-                            tier=None,
-                            degraded=True,
-                            deadline_missed=False,
-                            latency_seconds=self._clock() - began,
-                            skips=(f"{region.name}: failed: {error}",),
-                            failed=True,
-                            error=str(error),
-                        )
-                    )
-                    failed.append(region.name)
-                    obs_metrics.counter(
-                        "serve_shard_failures_total", shard=region.name
-                    ).inc()
-                    tracing.event(
-                        "serve.shard_failed", shard=region.name, error=str(error)
-                    )
-                    runlog.emit(
-                        "serve_shard_failed", shard=region.name, error=str(error)
-                    )
-                    continue
-                region.place(demand, response.demand)
-                reports.append(
-                    ShardReport(
-                        shard=region.name,
-                        tier=response.tier,
-                        degraded=response.degraded,
-                        deadline_missed=response.deadline_missed,
-                        latency_seconds=response.latency_seconds,
-                        skips=response.skips,
-                        generation=response.generation,
-                    )
-                )
-
-        latency = self._clock() - began
-        merged = ShardedResponse(
-            demand=demand,
-            degraded=any(report.degraded or report.failed for report in reports),
-            deadline_missed=any(report.deadline_missed for report in reports),
-            latency_seconds=latency,
-            shards=tuple(reports),
-            failed_shards=tuple(failed),
-            trace_id=route_span.context.trace_id if route_span.context else None,
-        )
+            merged = self._batcher.forecast(window, deadline_seconds=deadline_seconds)
+        merged.latency_seconds = self._clock() - began
+        merged.trace_id = route_span.context.trace_id if route_span.context else None
         if merged.degraded:
             obs_metrics.counter("serve_router_degraded_total").inc()
-        obs_metrics.histogram("serve_router_latency_seconds").observe(latency)
+        obs_metrics.histogram("serve_router_latency_seconds").observe(merged.latency_seconds)
         return merged
 
-    def _floor(self, window: np.ndarray, region: ShardRegion) -> np.ndarray:
-        """Emergency fill for a shard that failed outright.
+    def predict_batch(self, windows, deadlines, starts, contexts) -> List[ShardedResponse]:
+        """The batcher worker's call: stacked full-grid windows, one shard
+        after another, merged per request.
 
-        Repeat the region's last observed target-feature slot across the
-        horizon — raw counts in, raw counts out, no scaler, no model: the
-        same persistence shape the shard's own floor tier would have
-        produced, computable even when the shard's service is the thing
-        that broke. Infallible by construction (a pure numpy reshuffle).
+        Each shard's :meth:`ForecastService.predict_batch` gets its region's
+        slice with the requests' deadlines, submission clock readings
+        (``starts``) and ``serve.request`` contexts. A shard that raises is
+        floored for the whole batch; a :class:`PartialBatchError` floors
+        only the requests whose floor tier broke.
+        """
+        count = len(windows)
+        demands = [np.empty((self.horizon,) + self.grid_shape) for _ in range(count)]
+        reports: List[List[ShardReport]] = [[] for _ in range(count)]
+        for region in self.regions:
+            obs_metrics.counter("serve_shard_requests_total", shard=region.name).inc(count)
+            spans = [
+                tracing.start_span("serve.shard", parent=context, shard=region.name)
+                for context in contexts
+            ]
+            errors: Dict[int, Exception] = {}
+            try:
+                answers = self.services[region.name].predict_batch(
+                    region.slice_window(windows), deadlines, starts, contexts
+                )
+            except PartialBatchError as error:
+                answers, errors = error.responses, error.errors
+            except Exception as error:  # noqa: BLE001 - shard loss degrades
+                answers, errors = [None] * count, dict.fromkeys(range(count), error)
+            for i, answer in enumerate(answers):
+                if i in errors:
+                    report = self._floor(
+                        region, windows[i], demands[i], errors[i], starts[i], contexts[i]
+                    )
+                else:
+                    region.place(demands[i], answer.demand)
+                    report = ShardReport(
+                        shard=region.name, tier=answer.tier, degraded=answer.degraded,
+                        deadline_missed=answer.deadline_missed, skips=answer.skips,
+                        latency_seconds=answer.latency_seconds, generation=answer.generation,
+                    )
+                spans[i].end(status="error" if report.failed else "ok", tier=report.tier)
+                reports[i].append(report)
+        now = self._clock()
+        return [
+            ShardedResponse(
+                demand=demand,
+                degraded=any(report.degraded for report in shards),
+                deadline_missed=any(report.deadline_missed for report in shards),
+                latency_seconds=now - start,
+                shards=tuple(shards),
+                failed_shards=tuple(report.shard for report in shards if report.failed),
+            )
+            for demand, shards, start in zip(demands, reports, starts)
+        ]
+
+    def _floor(self, region, window, demand, error, start, context) -> ShardReport:
+        """Fill a failed shard's block of ``demand`` and report the failure.
+
+        The fill repeats the region's last observed target-feature slot
+        across the horizon: the persistence shape the shard's own floor tier
+        would have produced, with no scaler and no model, so it cannot fail.
         """
         last = region.slice_window(window)[-1, :, :, self.target_feature]
-        block = np.broadcast_to(last, (self.horizon,) + last.shape)
-        return np.clip(block, 0.0, None)
+        region.place(demand, np.clip(last, 0.0, None))
+        obs_metrics.counter("serve_shard_failures_total", shard=region.name).inc()
+        trace_id = context.trace_id if context else None
+        tracing.event("serve.shard_failed", parent=context, shard=region.name, error=str(error))
+        runlog.emit("serve_shard_failed", shard=region.name, error=str(error), trace_id=trace_id)
+        return ShardReport(
+            shard=region.name, tier=None, degraded=True, deadline_missed=False,
+            latency_seconds=self._clock() - start, skips=(f"{region.name}: failed: {error}",),
+            failed=True, error=str(error),
+        )
 
     # ------------------------------------------------------------------
     def close(self, timeout: Optional[float] = 5.0) -> None:
-        for batcher in self._batchers.values():
-            batcher.close(timeout=timeout)
+        self._batcher.close(timeout=timeout)
 
     def __enter__(self) -> "ShardRouter":
         return self

@@ -252,14 +252,22 @@ class TestTraceLinkage:
             by_name.setdefault(record["name"], []).append(record)
         (gateway_span,) = by_name["gateway.request"]
         (route_span,) = by_name["serve.route"]
-        shard_spans = by_name["serve.request"]
+        (request_span,) = by_name["serve.request"]
+        shard_spans = by_name["serve.shard"]
         assert route_span["parent_id"] == gateway_span["span_id"]
-        assert len(shard_spans) == len(gateway.router.regions)
-        assert {span["parent_id"] for span in shard_spans} == {route_span["span_id"]}
+        assert request_span["parent_id"] == route_span["span_id"]
+        # One span per region, started on the router's worker from the
+        # request's context and named after its shard and answering tier.
+        assert [span["attributes"]["shard"] for span in shard_spans] == [
+            region.name for region in gateway.router.regions
+        ]
+        assert {span["parent_id"] for span in shard_spans} == {request_span["span_id"]}
+        assert all(span["attributes"]["tier"] == "Primary" for span in shard_spans)
+        assert {span["thread"] for span in shard_spans} == {"repro-serve-batcher"}
         # The request lifecycle is one trace end to end. (Worker-side
         # serve.batch/serve.tier spans are deliberate separate roots: one
         # coalesced batch may serve many traces.)
-        lifecycle = [gateway_span, route_span, *shard_spans]
+        lifecycle = [gateway_span, route_span, request_span, *shard_spans]
         assert {span["trace_id"] for span in lifecycle} == {gateway_span["trace_id"]}
 
     def test_answer_names_its_trace_and_shard_generations(

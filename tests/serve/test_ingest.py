@@ -138,6 +138,24 @@ class TestServiceAndMonitorWiring:
         with pytest.raises(ValueError, match="geometry"):
             IngestionPipeline(store, service=service)
 
+    def test_slots_shaped_for_another_grid_leave_the_store_empty(self):
+        # A fresh store takes its frame shape from the first slots it gets:
+        # 5×4 slots behind a 4×4 service used to be appended, fixing the
+        # store at 5×4 for good, and no completed window was ever scored.
+        service = _service(MinMaxScaler().fit(_slots(5)))
+        store = _raw_store()
+        pipeline = IngestionPipeline(
+            store, service=service, monitor=DriftMonitor(service, label="shape-test")
+        )
+        wrong = np.random.default_rng(3).random((HISTORY, 5, 4, 3)) * 30.0
+        with pytest.raises(ValueError, match=r"shape \(5, 4, 4, 3\)"):
+            pipeline.ingest(wrong)
+        with pytest.raises(ValueError, match="shape"):
+            pipeline.ingest(wrong[0])  # one bare slot
+        assert store.num_slots == 0
+        ready = pipeline.ingest(_slots(HISTORY + HORIZON)).ready
+        assert len(ready) == 1 and ready[0].report is not None
+
     def test_monitor_scores_every_ready_window(self):
         slots = _slots(12)
         primary = ConstantForecaster(HORIZON, 0.5)

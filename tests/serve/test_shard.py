@@ -13,14 +13,19 @@ The contract under test (docs/ARCHITECTURE.md "Sharded serving"):
   city.
 """
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from repro import faults
 from repro.data.datasets import dataset_from_tensor
+from repro.obs import tracing
+from repro.obs.runlog import RunLogger, read_events
 from repro.pipeline.runner import execute
 from repro.pipeline.spec import RunSpec
-from repro.serve.service import ServiceTier
+from repro.serve.service import PartialBatchError, ServiceTier
 from repro.serve.shard import (
     ShardRegion,
     ShardRouter,
@@ -31,7 +36,12 @@ from repro.serve.shard import (
     synthetic_router,
 )
 
-from .conftest import make_shard_router, manual_shard_services
+from .conftest import (
+    ConstantForecaster,
+    ThresholdFaultForecaster,
+    make_shard_router,
+    manual_shard_services,
+)
 
 
 # ----------------------------------------------------------------------
@@ -199,6 +209,110 @@ class TestShardRouterMerge:
         assert [entry["name"] for entry in described] == ["shard0", "shard1"]
         assert all(entry["tiers"] == ["Primary", "Floor"] for entry in described)
         assert described[0]["rows"] == [0, 4] or described[0]["rows"] == [0, 2]
+
+
+def _block(demand, region):
+    return demand[:, region.rows[0] : region.rows[1], region.cols[0] : region.cols[1]]
+
+
+def _batcher_threads():
+    return {t for t in threading.enumerate() if t.name == "repro-serve-batcher"}
+
+
+class TestOneBatcherPerRouter:
+    """One queue and one worker thread answer every shard of a batch."""
+
+    def test_a_four_shard_router_runs_one_batcher_thread(
+        self, serve_dataset, raw_windows
+    ):
+        regions = partition_grid(serve_dataset.grid_shape, 4)
+        before = _batcher_threads()
+        router = ShardRouter(
+            regions,
+            manual_shard_services(serve_dataset, regions),
+            max_batch=2,
+            max_wait_seconds=30.0,
+        )
+        try:
+            assert len(_batcher_threads() - before) == 1
+            with ThreadPoolExecutor(2) as pool:
+                merged = list(pool.map(router.forecast, raw_windows[:2]))
+            assert router.batch_sizes == {region.name: [2] for region in regions}
+        finally:
+            router.close()
+        assert all(answer.tier == "|".join(["Primary"] * 4) for answer in merged)
+
+    def test_partial_floor_failure_in_a_coalesced_batch_floors_only_its_block(
+        self, serve_dataset, raw_windows
+    ):
+        ds = serve_dataset
+        regions = partition_grid(ds.grid_shape, 2)
+        services = manual_shard_services(ds, regions)
+        # shard0 answers from its floor alone, and that floor breaks on a
+        # window holding a count far past the scaler's fitted maximum.
+        services["shard0"].tiers = (
+            ServiceTier("Floor", ThresholdFaultForecaster(ConstantForecaster(ds.horizon, 0.1))),
+        )
+        windows = [np.array(raw_windows[0]), np.array(raw_windows[1])]
+        windows[1][0, 0, 0, 0] = 1e6  # inside shard0's region only
+        counter = obs_metrics.counter("serve_shard_failures_total", shard="shard0")
+        before = counter.value
+        with ShardRouter(regions, services, max_batch=2, max_wait_seconds=30.0) as router:
+            with ThreadPoolExecutor(2) as pool:
+                healthy, poisoned = pool.map(router.forecast, windows)
+            assert router.batch_sizes == {"shard0": [2], "shard1": [2]}
+        assert counter.value == before + 1
+
+        assert healthy.failed_shards == () and poisoned.failed_shards == ("shard0",)
+        report = poisoned.shards[0]
+        assert report.failed and report.tier is None and "poisoned" in report.error
+        assert healthy.shards[0].tier == "Floor" and not healthy.shards[0].failed
+        last = regions[0].slice_window(windows[1])[-1, :, :, ds.target_feature]
+        floor = np.clip(np.broadcast_to(last, (ds.horizon,) + last.shape), 0.0, None)
+        assert np.array_equal(_block(poisoned.demand, regions[0]), floor)
+
+        pair = np.stack(windows)
+        with pytest.raises(PartialBatchError) as caught:
+            services["shard0"].predict_batch(regions[0].slice_window(pair))
+        direct0 = caught.value.responses
+        direct1 = services["shard1"].predict_batch(regions[1].slice_window(pair))
+        assert np.array_equal(_block(healthy.demand, regions[0]), direct0[0].demand)
+        assert np.array_equal(_block(healthy.demand, regions[1]), direct1[0].demand)
+        assert np.array_equal(_block(poisoned.demand, regions[1]), direct1[1].demand)
+
+    def test_failure_events_carry_the_request_trace_id(
+        self, serve_dataset, raw_windows, tmp_path
+    ):
+        """Shard failures are handled on the worker, where no span is open:
+        the trace event and both run-log events must still name the
+        request's trace, and the run log says null while nothing records."""
+        with make_shard_router(
+            serve_dataset, failing=("shard0",), poisoned=("shard1",)
+        ) as router:
+            with RunLogger(str(tmp_path / "untraced.jsonl")) as untraced:
+                router.forecast(raw_windows[0])
+            with RunLogger(str(tmp_path / "traced.jsonl")) as traced:
+                tracing.start_recording()
+                try:
+                    merged = router.forecast(raw_windows[0])
+                    records = tracing.recent()
+                finally:
+                    tracing.stop_recording()
+                    tracing.reset()
+        (route,) = [r for r in records if r["name"] == "serve.route"]
+        assert merged.trace_id == route["trace_id"]
+        (event,) = [r for r in records if r["name"] == "serve.shard_failed"]
+        assert event["trace_id"] == route["trace_id"]
+        assert event["parent_id"] is not None
+
+        for log, trace_id in ((untraced, None), (traced, route["trace_id"])):
+            events = read_events(log.path)
+            failed = [e for e in events if e["event"] == "serve_shard_failed"]
+            degraded = [e for e in events if e["event"] == "serve_degraded"]
+            assert [e["shard"] for e in failed] == ["shard0"]
+            # shard0's one tier errors and shard1's poisoned primary skips.
+            assert {e["tier"] for e in degraded} == {"Broken", "Primary"}
+            assert {e["trace_id"] for e in failed + degraded} == {trace_id}
 
 
 class TestShardRouterValidation:

@@ -102,6 +102,17 @@ def test_shards_load_route_and_ingest_as_the_serving_workloads_call_them(tmp_pat
         names = {span[1] for span in recorder.spans}
         assert {"shard.route", "service.predict_batch", "service.normalize",
                 "service.forward", "service.denormalize"} <= names
+        # The serving ledgers link each shard's batch to its request through
+        # the router clock's reading at submission, taken on the calling
+        # thread inside the traced route and passed on as the batch's start.
+        (route,) = [span for span in recorder.spans if span[1] == "shard.route"]
+        batches = [span for span in recorder.spans if span[1] == "service.predict_batch"]
+        assert len(batches) == len(regions)
+        for batch in batches:
+            assert [recorder.stamp_owner[stamp] for stamp in batch[5]["starts"]] == [route[0]]
+        costs = serving.route_costs(recorder.spans, recorder.stamp_owner)
+        assert set(costs) == {route[0]}
+        assert abs(costs[route[0]].ledger.residual) < 1e-9
 
         for region in router.regions:
             service = router.services[region.name]
