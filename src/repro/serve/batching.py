@@ -1,9 +1,15 @@
 """Micro-batching: coalesce concurrent requests into one forward pass.
 
 Concurrent clients each submit one window; a single worker thread drains
-the queue, stacks up to ``max_batch`` windows (waiting at most
-``max_wait_seconds`` after the first arrival for stragglers), and answers
-them all with **one** ``service.predict_batch`` call. The service is
+the queue, stacks up to ``max_batch`` windows, and answers them all with
+**one** ``service.predict_batch`` call. After the first arrival it waits
+for stragglers only while fewer requests are queued than the callers it
+has seen active: the most requests in flight at once (queued plus the
+batch being answered) since it took the last batch. The wait ends when
+that many are queued (at most ``max_batch``), ``max_wait_seconds`` after
+the first arrival, or on close. A lone caller is answered at once,
+concurrent callers still coalesce, and no batch waits past the cap; a
+fresh batcher's first batch waits for ``max_batch``. The service is
 anything with a ``window_shape`` and a ``predict_batch``: a
 :class:`~repro.serve.shard.ShardRouter` (its one batcher) or a
 :class:`~repro.serve.service.ForecastService`. The coalesced pass *is* one
@@ -21,6 +27,7 @@ from __future__ import annotations
 import threading
 import time
 import warnings
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import List, Optional
@@ -30,6 +37,10 @@ import numpy as np
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.serve.service import PartialBatchError, check_shape
+
+# How many of the newest batch sizes a batcher keeps: a gateway serves
+# until it is killed, and a perfbench gateway run makes about 1,800.
+BATCH_SIZES_KEPT = 65_536
 
 
 @dataclass
@@ -66,7 +77,14 @@ class MicroBatcher:
         self._arrived = threading.Condition(self._lock)
         self._queue: List[_Submission] = []
         self._closed = False
-        self.batch_sizes: List[int] = []  # every coalesced batch, in order
+        # Requests in the batch being answered, and the most in flight at
+        # once (queued plus running) since the last batch was taken: the
+        # callers the straggler wait waits for. Starting at max_batch makes
+        # a fresh batcher's first batch wait as long as the cap allows.
+        self._running = 0
+        self._concurrency = self.max_batch
+        # The newest coalesced batch sizes, in order.
+        self.batch_sizes = deque(maxlen=BATCH_SIZES_KEPT)
         self._worker = threading.Thread(
             target=self._run, name="repro-serve-batcher", daemon=True
         )
@@ -104,6 +122,7 @@ class MicroBatcher:
                 submission.span.end(status="error", error="MicroBatcher is closed")
                 raise RuntimeError("MicroBatcher is closed")
             self._queue.append(submission)
+            self._concurrency = max(self._concurrency, self._running + len(self._queue))
             self._arrived.notify()
         return submission.future
 
@@ -160,35 +179,35 @@ class MicroBatcher:
         """Block for the first submission, then coalesce stragglers.
 
         Returns ``None`` when closed and fully drained. The straggler wait
-        is bounded by ``max_wait_seconds`` after the *first* request of the
-        batch arrived, so an early submitter's latency cost for batching is
-        capped regardless of traffic.
+        ends once the queue holds as many requests as were in flight at
+        once since the last batch (at most ``max_batch``), and never lasts
+        past ``max_wait_seconds`` after the batch's *first* arrival, so an
+        early submitter's latency cost for batching is capped regardless
+        of traffic.
         """
         with self._arrived:
             while not self._queue and not self._closed:
                 self._arrived.wait(timeout=0.1)
             if not self._queue:
                 return None  # closed and drained
+            target = min(self.max_batch, self._concurrency)
             cutoff = self._clock() + self.max_wait_seconds
-            while len(self._queue) < self.max_batch and not self._closed:
+            while len(self._queue) < target and not self._closed:
                 remaining = cutoff - self._clock()
                 if remaining <= 0:
                     break
                 self._arrived.wait(timeout=remaining)
             batch = self._queue[: self.max_batch]
             del self._queue[: self.max_batch]
+            self._running = len(batch)
+            self._concurrency = self._running + len(self._queue)
             return batch
 
     def _answer(self, batch: List[_Submission]) -> None:
         self.batch_sizes.append(len(batch))
         obs_metrics.histogram("serve_microbatch_coalesced").observe(len(batch))
         try:
-            responses = self.service.predict_batch(
-                np.stack([submission.window for submission in batch]),
-                deadlines=[submission.deadline for submission in batch],
-                starts=[submission.start for submission in batch],
-                contexts=[submission.span.context for submission in batch],
-            )
+            responses = self._predict(batch)
         except PartialBatchError as error:
             # The floor failed for a subset of the batch: deliver every
             # answer that was computed and fail exactly the broken requests,
@@ -206,6 +225,20 @@ class MicroBatcher:
             return
         for submission, response in zip(batch, responses):
             self._resolve(submission, response)
+
+    def _predict(self, batch: List[_Submission]):
+        try:
+            return self.service.predict_batch(
+                np.stack([submission.window for submission in batch]),
+                deadlines=[submission.deadline for submission in batch],
+                starts=[submission.start for submission in batch],
+                contexts=[submission.span.context for submission in batch],
+            )
+        finally:
+            # Before any future resolves: a caller that resubmits at once
+            # must not be counted twice, or the next batch waits for nobody.
+            with self._lock:
+                self._running = 0
 
     @staticmethod
     def _resolve(submission: _Submission, response) -> None:

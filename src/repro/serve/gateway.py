@@ -266,7 +266,13 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--slots", type=int, default=80, help="simulated time slots")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-batch", type=int, default=8)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
+    parser.add_argument(
+        "--max-wait-ms",
+        type=float,
+        default=2.0,
+        help="cap on a batch's straggler wait after its first request; the "
+        "wait ends sooner once every caller in flight has submitted",
+    )
     parser.add_argument(
         "--selfcheck",
         action="store_true",
