@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.obs import drift as obs_drift
 from repro.obs import metrics as obs_metrics
-from repro.obs import runlog
+from repro.obs import runlog, tracing
 from repro.serve.service import ForecastResponse, ForecastService
 
 
@@ -82,19 +82,22 @@ class DriftMonitor:
 
         ``actual`` is the raw ``(p, G1, G2)`` demand that materialized for
         the window's horizon; the error fed to the detector is the mean
-        absolute error over all horizon steps and cells.
+        absolute error over all horizon steps and cells. One ``serve.drift``
+        span covers the predict and the scoring, so the service's
+        ``serve.batch`` span and any ``drift_detected`` event share its trace.
         """
         if self.service is None:
             raise RuntimeError("DriftMonitor.feed needs a service; use observe_error otherwise")
-        response = self.service.predict_one(window)
-        actual = np.asarray(actual, dtype=float)
-        if actual.shape != response.demand.shape:
-            raise ValueError(
-                f"actual demand shape {actual.shape} does not match "
-                f"forecast shape {response.demand.shape}"
-            )
-        error = float(np.mean(np.abs(response.demand - actual)))
-        return self.observe_error(error, tier=response.tier)
+        with tracing.span("serve.drift", service=self.label):
+            response = self.service.predict_one(window)
+            actual = np.asarray(actual, dtype=float)
+            if actual.shape != response.demand.shape:
+                raise ValueError(
+                    f"actual demand shape {actual.shape} does not match "
+                    f"forecast shape {response.demand.shape}"
+                )
+            error = float(np.mean(np.abs(response.demand - actual)))
+            return self.observe_error(error, tier=response.tier)
 
     def observe_error(self, error: float, tier: Optional[str] = None) -> obs_drift.DriftReport:
         """Feed one precomputed forecast error; publishes score + events.
@@ -134,6 +137,9 @@ class DriftMonitor:
             obs_metrics.gauge("forecast_error_ewma", service=self.label).set(report.ewma)
         if report.drifted:
             obs_metrics.counter("forecast_drift_events_total", service=self.label).inc()
+            # The enclosing trace (feed's serve.drift span) while tracing
+            # records; None otherwise.
+            context = tracing.current_context()
             runlog.emit(
                 "drift_detected",
                 service=self.label,
@@ -144,6 +150,7 @@ class DriftMonitor:
                 ewma=report.ewma,
                 sample=report.samples,
                 tier=tier,
+                trace_id=context.trace_id if context else None,
             )
         return report
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.obs import metrics as obs_metrics
+from repro.obs import tracing
 from repro.obs.drift import DriftDetector, SloSpec
 from repro.obs.runlog import RunLogger, read_events
 from repro.serve import DriftMonitor, ForecastService, SloMonitor
@@ -79,8 +80,38 @@ class TestDriftMonitor:
         assert event["service"] == "drift-test"
         assert event["tier"] == "Primary"
         assert event["baseline"] == pytest.approx(1.0)
+        assert event["trace_id"] is None  # nothing records
         counter = obs_metrics.counter("forecast_drift_events_total", service="drift-test")
         assert counter.value == 1.0
+
+    def test_drift_event_names_the_feed_trace(self, serve_dataset, raw_windows, tmp_path):
+        """``feed`` opens one ``serve.drift`` span around the predict and the
+        scoring: the service's ``serve.batch`` span nests under it, and the
+        ``drift_detected`` event names its trace."""
+        service = _service(serve_dataset)
+        base = service.predict_one(raw_windows[0]).demand
+        monitor = DriftMonitor(
+            service, detector=DriftDetector(warmup=8), label="drift-trace-test"
+        )
+        with RunLogger(str(tmp_path / "drift.jsonl")) as logger:
+            tracing.start_recording()
+            try:
+                for _ in range(16):
+                    monitor.feed(raw_windows[0], base + 1.0)
+                for _ in range(40):
+                    if monitor.feed(raw_windows[0], base + 4.0).drifted:
+                        break
+                records = tracing.recent()
+            finally:
+                tracing.stop_recording()
+                tracing.reset()
+        (event,) = [e for e in read_events(logger.path) if e["event"] == "drift_detected"]
+        assert event["trace_id"] is not None
+        in_trace = [r for r in records if r["trace_id"] == event["trace_id"]]
+        (drift,) = [r for r in in_trace if r["name"] == "serve.drift"]
+        (batch,) = [r for r in in_trace if r["name"] == "serve.batch"]
+        assert drift["parent_id"] is None
+        assert batch["parent_id"] == drift["span_id"]
 
 
 def _response(latency=0.01, missed=False, degraded=False):
