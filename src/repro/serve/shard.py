@@ -33,7 +33,10 @@ Merge semantics are honest by construction:
 
 Shards run in region order on one thread (threads per shard only contended
 for the interpreter lock), so a later shard's deadline check sees the
-earlier shards' time, as the caller does.
+earlier shards' time, as the caller does. The batcher waits for stragglers
+only until every caller it has seen in flight has submitted, so a lone
+caller's forecast goes to the shards at once; ``max_wait_seconds`` caps
+that wait.
 
 Tracing: ``forecast`` opens ``serve.route`` on the calling thread, the
 submission's ``serve.request`` starts under it, and the worker starts one
@@ -288,7 +291,8 @@ class ShardRouter:
 
     @property
     def batch_sizes(self) -> Dict[str, List[int]]:
-        """Per-shard coalesced batch sizes: every shard answers every batch."""
+        """Per-shard coalesced batch sizes, the batcher's newest
+        ``BATCH_SIZES_KEPT`` in order: every shard answers every batch."""
         return {region.name: list(self._batcher.batch_sizes) for region in self.regions}
 
     def attach_adaptation(self, controllers: Mapping[str, object]) -> None:
