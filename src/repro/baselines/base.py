@@ -102,16 +102,13 @@ class SupervisedForecaster(Forecaster):
         lr: float = 1e-3,
         batch_size: int = 32,
         loss: str = "l1",
-        optimizer: str = "adam",
         seed: int = 0,
     ):
         super().__init__(history, horizon, grid_shape, num_features)
         self.model = model
         self.batch_size = batch_size
         self.seed = seed
-        self.trainer = Trainer(
-            model, loss=loss, optimizer=optimizer, lr=lr, batch_size=batch_size, seed=seed
-        )
+        self.trainer = Trainer(model, loss=loss, lr=lr, batch_size=batch_size, seed=seed)
 
     #: Direct models whose ``training_arrays`` are exactly the dataset's
     #: supervised split pairs can stream them from the window store instead
@@ -173,14 +170,11 @@ class SupervisedForecaster(Forecaster):
         ``postprocess`` maps each batch's raw output before concatenation
         (e.g. slicing the final frame of a sequence prediction).
         """
-        was_training = self.model.training
-        self.model.eval()
         outputs = []
         with nn_config.no_grad():
             for start in range(0, len(inputs), self.batch_size):
                 out = self.model(Tensor(inputs[start : start + self.batch_size])).data
                 outputs.append(postprocess(out) if postprocess is not None else out)
-        self.model.train(was_training)
         return np.concatenate(outputs, axis=0)
 
 

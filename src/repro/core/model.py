@@ -132,12 +132,10 @@ class BikeCAP(Module):
         """Inference helper: batched forward without autograd graphs."""
         from repro.nn import config as nn_config
 
-        self.eval()
         outputs = []
         with nn_config.no_grad():
             for start in range(0, len(x), batch_size):
                 outputs.append(self.forward(Tensor(x[start : start + batch_size])).data)
-        self.train()
         return np.concatenate(outputs, axis=0)
 
     @property

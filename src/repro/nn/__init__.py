@@ -18,9 +18,7 @@ from repro.nn.layers import (
     Conv3D,
     ConvLSTM2DCell,
     ConvTranspose3D,
-    Dropout,
     GHU,
-    LayerNorm,
     Linear,
     LSTMCell,
     Module,
@@ -29,8 +27,8 @@ from repro.nn.layers import (
     Sequential,
     STLSTMCell,
 )
-from repro.nn.losses import get_loss, huber_loss, l1_loss, mse_loss
-from repro.nn.optim import SGD, Adam, clip_grad_norm, make_optimizer
+from repro.nn.losses import get_loss, l1_loss, mse_loss
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.serialization import (
     CheckpointCorruptError,
     TrainingCheckpoint,
@@ -55,16 +53,13 @@ __all__ = [
     "Conv3D",
     "ConvLSTM2DCell",
     "ConvTranspose3D",
-    "Dropout",
     "GHU",
     "LSTM",
     "LSTMCell",
-    "LayerNorm",
     "Linear",
     "Module",
     "ModuleList",
     "Parameter",
-    "SGD",
     "STLSTMCell",
     "Sequential",
     "Tensor",
@@ -80,7 +75,6 @@ __all__ = [
     "engine",
     "get_loss",
     "gradcheck_module",
-    "huber_loss",
     "init",
     "iterate_minibatches",
     "l1_loss",
@@ -88,7 +82,6 @@ __all__ = [
     "load_checkpoint",
     "load_weights",
     "losses",
-    "make_optimizer",
     "mse_loss",
     "no_grad",
     "ops",

@@ -10,22 +10,21 @@ select it; :func:`engine_mode` is a read-only label for the choice.
 Whether autograd records graphs is per thread (:func:`no_grad`); every
 other setting is process-wide.
 
-Two knobs, each overridable by an environment variable read once at
-import:
+One knob, overridable by an environment variable read once at import:
 
 =============================== ======================================== =========
 knob                            environment variable                     default
 =============================== ======================================== =========
 dtype                           ``REPRO_DTYPE`` (float32|float64)        float32
-plan cache on/off               ``REPRO_PLAN_CACHE`` (1|0)               1
 =============================== ======================================== =========
 
-The plan cache gates every identity-keyed cache in :mod:`repro.nn.engine`
-and the fused kernels with them. Conv dispatch has no knob:
-:mod:`repro.nn.ops.conv` picks its strategy from the kernel volume alone.
-Threads have none either: a model decides how many shards a batch runs
-as, and the host's usable CPUs decide whether those shards run side by
-side (:func:`num_threads`, docs/PERFORMANCE.md).
+The engine's caches and fused kernels have no knob:
+:func:`repro.nn.engine.no_cache` turns them off on one thread, which is
+the unfused reference path that gradchecks and parity tests run. Conv
+dispatch has none: :mod:`repro.nn.ops.conv` picks its strategy from the
+kernel volume alone. Threads have none either: a model decides how many
+shards a batch runs as, and the host's usable CPUs decide whether those
+shards run side by side (:func:`num_threads`, docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -36,16 +35,7 @@ import threading
 
 import numpy as np
 
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off")
-
-
 _DTYPE = np.float32
-_PLAN_CACHE_ENABLED = _env_flag("REPRO_PLAN_CACHE", True)
 
 
 def dtype() -> np.dtype:
@@ -117,7 +107,7 @@ def no_grad():
 
 
 # ---------------------------------------------------------------------------
-# Execution-engine knobs (consumed by repro.nn.engine)
+# Threads (consumed by repro.nn.engine)
 # ---------------------------------------------------------------------------
 
 def usable_cpus() -> int:
@@ -136,15 +126,6 @@ def num_threads() -> int:
     calls are held to one thread each (:mod:`repro.nn.engine`).
     """
     return min(2, usable_cpus())
-
-
-def plan_cache_enabled() -> bool:
-    return _PLAN_CACHE_ENABLED
-
-
-def set_plan_cache_enabled(enabled: bool) -> None:
-    global _PLAN_CACHE_ENABLED
-    _PLAN_CACHE_ENABLED = bool(enabled)
 
 
 # Environment-selected startup dtype.

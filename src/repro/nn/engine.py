@@ -21,8 +21,8 @@ and owns the substrate's threads:
   CPUs; OpenBLAS is pinned to one thread when this module is imported and
   the FFTs run with ``workers=1``, so neither competes with the shards.
 
-Knobs live in :mod:`repro.nn.config` (``REPRO_*`` environment variables);
-behaviour and measurements are documented in docs/PERFORMANCE.md.
+The one knob, the dtype, lives in :mod:`repro.nn.config`; behaviour and
+measurements are documented in docs/PERFORMANCE.md.
 
 Identity-keyed caches are only coherent if in-place weight mutation goes
 through an optimizer step or a state-dict load. Code that perturbs
@@ -75,9 +75,7 @@ def bump_weight_version() -> None:
 
 def caches_enabled() -> bool:
     """Whether identity-keyed caches may be consulted on this thread."""
-    if getattr(_cache_bypass, "depth", 0):
-        return False
-    return config.plan_cache_enabled()
+    return not getattr(_cache_bypass, "depth", 0)
 
 
 @contextlib.contextmanager
@@ -122,9 +120,9 @@ def fused_plan(key: Tuple, builder: Callable[[], object]):
 
     ``key[0]`` names the fused kernel kind (``lstm_gates``, ``squash``,
     ``routing``, …) and the rest pins the full shape/dtype signature.
-    Returns ``None`` whenever the caches are off (``no_cache()`` or
-    ``REPRO_PLAN_CACHE=0``) so call sites fall back to the unfused op
-    chain; hit/miss traffic is exported as ``engine_fusion_cache_*_total``.
+    Returns ``None`` inside ``no_cache()`` so call sites fall back to the
+    unfused op chain; hit/miss traffic is exported as
+    ``engine_fusion_cache_*_total``.
     """
     if not caches_enabled():
         return None

@@ -28,12 +28,12 @@ Fused kernels:
   so ``out=`` rewrites here would break bit-parity).
 
 Every kernel consults :func:`repro.nn.engine.fused_plan` first: under
-``engine.no_cache()`` (or ``REPRO_PLAN_CACHE=0``) the plan lookup returns
-``None`` and the caller falls back to the unfused op chain, so in-place
-parameter perturbation (finite-difference gradcheck) never meets a fused
-closure. Layering: this module sits below the model layers and imports
-only ``repro.nn.ops`` / ``repro.nn.engine`` / ``repro.nn.tensor``
-(enforced by ``scripts/check_layering.py``).
+``engine.no_cache()`` the plan lookup returns ``None`` and the caller
+falls back to the unfused op chain, so in-place parameter perturbation
+(finite-difference gradcheck) never meets a fused closure. Layering: this
+module sits below the model layers and imports only ``repro.nn.ops`` /
+``repro.nn.engine`` / ``repro.nn.tensor`` (enforced by
+``scripts/check_layering.py``).
 """
 
 from __future__ import annotations

@@ -42,13 +42,6 @@ def glorot_uniform(shape, rng=None) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape).astype(config.dtype())
 
 
-def he_normal(shape, rng=None) -> np.ndarray:
-    rng = default_rng(rng)
-    fan_in, _ = _fan_in_out(tuple(shape))
-    std = np.sqrt(2.0 / fan_in)
-    return (rng.standard_normal(shape) * std).astype(config.dtype())
-
-
 def orthogonal(shape, rng=None, gain: float = 1.0) -> np.ndarray:
     """Orthogonal init (used for recurrent kernels)."""
     rng = default_rng(rng)
@@ -66,7 +59,3 @@ def orthogonal(shape, rng=None, gain: float = 1.0) -> np.ndarray:
 
 def zeros(shape) -> np.ndarray:
     return np.zeros(shape, dtype=config.dtype())
-
-
-def ones(shape) -> np.ndarray:
-    return np.ones(shape, dtype=config.dtype())

@@ -1,7 +1,7 @@
 """Layer library for the numpy substrate."""
 
 from repro.nn.layers.base import Module, ModuleList, Parameter
-from repro.nn.layers.common import Activation, Dropout, LayerNorm, Sequential
+from repro.nn.layers.common import Activation, Sequential
 from repro.nn.layers.conv import Conv2D, Conv3D, ConvTranspose3D
 from repro.nn.layers.convlstm import ConvLSTM2DCell
 from repro.nn.layers.linear import Linear
@@ -15,11 +15,9 @@ __all__ = [
     "Conv3D",
     "ConvLSTM2DCell",
     "ConvTranspose3D",
-    "Dropout",
     "GHU",
     "LSTM",
     "LSTMCell",
-    "LayerNorm",
     "Linear",
     "Module",
     "ModuleList",

@@ -28,7 +28,6 @@ class Module:
     def __init__(self):
         object.__setattr__(self, "_parameters", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
-        object.__setattr__(self, "training", True)
 
     def __setattr__(self, name, value):
         if isinstance(value, Parameter):
@@ -55,11 +54,6 @@ class Module:
         for _name, param in self.named_parameters():
             yield param
 
-    def modules(self) -> Iterator["Module"]:
-        yield self
-        for child in self._modules.values():
-            yield from child.modules()
-
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
@@ -75,15 +69,6 @@ class Module:
         split overrides this, as BikeCAP does.
         """
         return 1
-
-    # ------------------------------------------------------------------
-    def train(self, mode: bool = True) -> "Module":
-        for module in self.modules():
-            object.__setattr__(module, "training", mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:

@@ -1,12 +1,9 @@
-"""Small utility layers: activations-as-modules, dropout, sequential."""
+"""Small utility layers: activations-as-modules and sequential."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.nn import init, ops
+from repro.nn import ops
 from repro.nn.layers.base import Module
-from repro.nn.tensor import Tensor, make_op
 
 
 class Activation(Module):
@@ -14,8 +11,6 @@ class Activation(Module):
 
     _FUNCTIONS = {
         "relu": ops.relu,
-        "leaky_relu": ops.leaky_relu,
-        "elu": ops.elu,
         "sigmoid": ops.sigmoid,
         "tanh": ops.tanh,
     }
@@ -28,28 +23,6 @@ class Activation(Module):
 
     def forward(self, x):
         return self._FUNCTIONS[self.name](x)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity when the module is in eval mode."""
-
-    def __init__(self, rate: float, rng=None):
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self.rng = init.default_rng(rng)
-
-    def forward(self, x: Tensor):
-        if not self.training or self.rate == 0.0:
-            return x
-        keep = 1.0 - self.rate
-        mask = (self.rng.random(x.shape) < keep) / keep
-
-        def backward(grad):
-            return (grad * mask,)
-
-        return make_op(x.data * mask, (x,), backward)
 
 
 class Sequential(Module):
@@ -75,26 +48,3 @@ class Sequential(Module):
 
     def __getitem__(self, index):
         return self._layers[index]
-
-
-class LayerNorm(Module):
-    """Layer normalization over the trailing ``normalized_shape`` axes."""
-
-    def __init__(self, normalized_shape, epsilon: float = 1e-5):
-        super().__init__()
-        from repro.nn.layers.base import Parameter
-
-        if isinstance(normalized_shape, int):
-            normalized_shape = (normalized_shape,)
-        self.normalized_shape = tuple(normalized_shape)
-        self.epsilon = epsilon
-        self.gamma = Parameter(np.ones(self.normalized_shape))
-        self.beta = Parameter(np.zeros(self.normalized_shape))
-
-    def forward(self, x):
-        axes = tuple(range(x.ndim - len(self.normalized_shape), x.ndim))
-        mean = ops.mean(x, axis=axes, keepdims=True)
-        centered = ops.sub(x, mean)
-        variance = ops.mean(ops.mul(centered, centered), axis=axes, keepdims=True)
-        inv_std = ops.power(ops.add(variance, self.epsilon), -0.5)
-        return ops.add(ops.mul(ops.mul(centered, inv_std), self.gamma), self.beta)

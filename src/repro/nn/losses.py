@@ -19,18 +19,7 @@ def mse_loss(prediction, target) -> Tensor:
     return ops.mean(ops.mul(diff, diff))
 
 
-def huber_loss(prediction, target, delta: float = 1.0) -> Tensor:
-    """Huber loss — quadratic near zero, linear in the tails."""
-    prediction, target = as_tensor(prediction), as_tensor(target)
-    diff = ops.sub(prediction, target)
-    abs_diff = ops.abs(diff)
-    quadratic = ops.mul(0.5, ops.mul(diff, diff))
-    linear = ops.sub(ops.mul(delta, abs_diff), 0.5 * delta**2)
-    mask = abs_diff.data <= delta
-    return ops.mean(ops.where(mask, quadratic, linear))
-
-
-LOSSES = {"l1": l1_loss, "mse": mse_loss, "huber": huber_loss}
+LOSSES = {"l1": l1_loss, "mse": mse_loss}
 
 
 def get_loss(name: str):

@@ -3,47 +3,27 @@
 from repro.nn.ops.basic import (
     abs,  # noqa: A004
     add,
-    clip,
     div,
-    einsum,
-    exp,
-    log,
     matmul,
-    maximum,
     mul,
     neg,
-    power,
     sqrt,
     sub,
-    where,
 )
-from repro.nn.ops.reduce import max, mean, min, norm, sum  # noqa: A004
+from repro.nn.ops.reduce import max, mean, sum  # noqa: A004
 from repro.nn.ops.shape import (
     concat,
     expand_dims,
-    flip,
     getitem,
-    moveaxis,
-    pad,
     reshape,
     squeeze,
     stack,
-    tile,
     transpose,
 )
-from repro.nn.ops.activations import (
-    elu,
-    leaky_relu,
-    log_softmax,
-    relu,
-    sigmoid,
-    softmax,
-    tanh,
-)
+from repro.nn.ops.activations import relu, sigmoid, tanh
 from repro.nn.ops.conv import (
     conv2d,
     conv3d,
-    conv_output_size,
     conv_transpose3d,
     normalize_pads,
     normalize_stride,
@@ -53,47 +33,29 @@ from repro.nn.ops.conv import (
 __all__ = [
     "abs",
     "add",
-    "clip",
     "concat",
     "conv2d",
     "conv3d",
-    "conv_output_size",
     "conv_transpose3d",
     "div",
-    "einsum",
-    "elu",
-    "exp",
     "expand_dims",
-    "flip",
     "getitem",
-    "leaky_relu",
-    "log",
-    "log_softmax",
     "matmul",
     "max",
-    "maximum",
     "mean",
-    "min",
-    "moveaxis",
     "mul",
     "neg",
-    "norm",
     "normalize_pads",
     "normalize_stride",
-    "pad",
-    "power",
     "relu",
     "reshape",
     "same_padding",
     "sigmoid",
-    "softmax",
     "sqrt",
     "squeeze",
     "stack",
     "sub",
     "sum",
     "tanh",
-    "tile",
     "transpose",
-    "where",
 ]

@@ -17,27 +17,6 @@ def relu(a) -> Tensor:
     return make_op(data, (a,), backward)
 
 
-def leaky_relu(a, negative_slope: float = 0.01) -> Tensor:
-    a = as_tensor(a)
-    data = np.where(a.data > 0, a.data, negative_slope * a.data)
-
-    def backward(grad):
-        return (grad * np.where(a.data > 0, 1.0, negative_slope),)
-
-    return make_op(data, (a,), backward)
-
-
-def elu(a, alpha: float = 1.0) -> Tensor:
-    a = as_tensor(a)
-    exp_part = alpha * (np.exp(np.minimum(a.data, 0.0)) - 1.0)
-    data = np.where(a.data > 0, a.data, exp_part)
-
-    def backward(grad):
-        return (grad * np.where(a.data > 0, 1.0, exp_part + alpha),)
-
-    return make_op(data, (a,), backward)
-
-
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     # Numerically stable piecewise logistic.
@@ -56,34 +35,5 @@ def tanh(a) -> Tensor:
 
     def backward(grad):
         return (grad * (1.0 - data**2),)
-
-    return make_op(data, (a,), backward)
-
-
-def softmax(a, axis=-1) -> Tensor:
-    """Softmax along one or several axes (jointly normalized)."""
-    a = as_tensor(a)
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    shifted = a.data - a.data.max(axis=axes, keepdims=True)
-    exp = np.exp(shifted)
-    data = exp / exp.sum(axis=axes, keepdims=True)
-
-    def backward(grad):
-        inner = (grad * data).sum(axis=axes, keepdims=True)
-        return (data * (grad - inner),)
-
-    return make_op(data, (a,), backward)
-
-
-def log_softmax(a, axis=-1) -> Tensor:
-    a = as_tensor(a)
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    shifted = a.data - a.data.max(axis=axes, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=axes, keepdims=True))
-    data = shifted - log_norm
-    soft = np.exp(data)
-
-    def backward(grad):
-        return (grad - soft * grad.sum(axis=axes, keepdims=True),)
 
     return make_op(data, (a,), backward)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import engine
 from repro.nn.tensor import Tensor, as_tensor, make_op, unbroadcast
 
 
@@ -67,37 +66,6 @@ def neg(a) -> Tensor:
     return make_op(-a.data, (a,), backward)
 
 
-def power(a, exponent: float) -> Tensor:
-    """Raise to a (constant) scalar power."""
-    a = as_tensor(a)
-    exponent = float(exponent)
-    data = a.data**exponent
-
-    def backward(grad):
-        return (grad * exponent * a.data ** (exponent - 1.0),)
-
-    return make_op(data, (a,), backward)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-
-    def backward(grad):
-        return (grad * data,)
-
-    return make_op(data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(grad):
-        return (grad / a.data,)
-
-    return make_op(np.log(a.data), (a,), backward)
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     data = np.sqrt(a.data)
@@ -115,33 +83,6 @@ def abs(a) -> Tensor:  # noqa: A001 - mirrors numpy naming
         return (grad * np.sign(a.data),)
 
     return make_op(np.abs(a.data), (a,), backward)
-
-
-def clip(a, low: float, high: float) -> Tensor:
-    """Clamp values to ``[low, high]``; gradient is zero outside the range."""
-    a = as_tensor(a)
-    data = np.clip(a.data, low, high)
-
-    def backward(grad):
-        mask = (a.data >= low) & (a.data <= high)
-        return (grad * mask,)
-
-    return make_op(data, (a,), backward)
-
-
-def maximum(a, b) -> Tensor:
-    """Elementwise maximum; ties send the gradient to the first operand."""
-    a, b = as_tensor(a), as_tensor(b)
-    data = np.maximum(a.data, b.data)
-
-    def backward(grad):
-        take_a = a.data >= b.data
-        return (
-            unbroadcast(grad * take_a, a.shape),
-            unbroadcast(grad * ~take_a, b.shape),
-        )
-
-    return make_op(data, (a, b), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -178,59 +119,5 @@ def matmul(a, b) -> Tensor:
         else:
             gb = unbroadcast(gb, b_data.shape)
         return ga, gb
-
-    return make_op(data, (a, b), backward)
-
-
-def einsum(subscripts: str, a, b) -> Tensor:
-    """Two-operand einsum with autograd, using the engine's cached paths.
-
-    Restrictions (asserted): explicit ``->`` output, no repeated label
-    within a single operand, and every input label must appear in the output
-    or in the other operand (so each backward pass is itself one einsum —
-    the standard adjoint rewrite).
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    if "->" not in subscripts:
-        raise ValueError("einsum op requires an explicit '->' output")
-    inputs, out_labels = subscripts.split("->")
-    a_labels, b_labels = inputs.split(",")
-    for labels in (a_labels, b_labels):
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"repeated label within one operand: {labels!r}")
-    for labels, other in ((a_labels, b_labels), (b_labels, a_labels)):
-        missing = set(labels) - set(out_labels) - set(other)
-        if missing:
-            raise ValueError(
-                f"labels {sorted(missing)} appear in one operand only; "
-                "their adjoint is not a single einsum"
-            )
-    data = engine.einsum(subscripts, a.data, b.data)
-
-    def backward(grad):
-        ga = gb = None
-        if a.requires_grad:
-            ga = engine.einsum(f"{out_labels},{b_labels}->{a_labels}", grad, b.data)
-        if b.requires_grad:
-            gb = engine.einsum(f"{out_labels},{a_labels}->{b_labels}", grad, a.data)
-        return ga, gb
-
-    return make_op(data, (a, b), backward)
-
-
-def where(condition: np.ndarray, a, b) -> Tensor:
-    """Select elementwise from ``a`` where condition else ``b``.
-
-    ``condition`` is a plain boolean array (not differentiable).
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    cond = np.asarray(condition, dtype=bool)
-    data = np.where(cond, a.data, b.data)
-
-    def backward(grad):
-        return (
-            unbroadcast(grad * cond, a.shape),
-            unbroadcast(grad * ~cond, b.shape),
-        )
 
     return make_op(data, (a, b), backward)

@@ -88,15 +88,6 @@ def same_padding(kernel_size: Sequence[int]) -> Tuple[int, ...]:
     return tuple(pads)
 
 
-def conv_output_size(size: int, kernel: int, stride: int, before: int, after: int) -> int:
-    span = size + before + after - kernel
-    if span < 0:
-        raise ValueError(
-            f"kernel {kernel} larger than padded input {size + before + after}"
-        )
-    return span // stride + 1
-
-
 # ---------------------------------------------------------------------------
 # Low-level numpy kernels (no autograd)
 # ---------------------------------------------------------------------------

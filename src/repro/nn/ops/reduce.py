@@ -1,4 +1,4 @@
-"""Reduction primitives (sum/mean/max/min) with autograd support."""
+"""Reduction primitives (sum/mean/max) with autograd support."""
 
 from __future__ import annotations
 
@@ -52,10 +52,10 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return make_op(data, (a,), backward)
 
 
-def _extremum(a, axis, keepdims, np_fn):
+def max(a, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
     a = as_tensor(a)
     axes = _normalize_axes(axis, a.ndim)
-    data = np_fn(a.data, axis=axes, keepdims=keepdims)
+    data = np.max(a.data, axis=axes, keepdims=keepdims)
 
     def backward(grad):
         grad = _expand_for_broadcast(grad, axes, keepdims, a.shape)
@@ -68,26 +68,3 @@ def _extremum(a, axis, keepdims, np_fn):
         return (grad * mask / counts,)
 
     return make_op(data, (a,), backward)
-
-
-def max(a, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
-    return _extremum(a, axis, keepdims, np.max)
-
-
-def min(a, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
-    return _extremum(a, axis, keepdims, np.min)
-
-
-def norm(a, axis=None, keepdims: bool = False, epsilon: float = 0.0) -> Tensor:
-    """Euclidean norm along ``axis``.
-
-    ``epsilon`` is added under the square root for a numerically safe
-    gradient at zero vectors (needed by the capsule squash function).
-    """
-    from repro.nn.ops import basic
-
-    squared = basic.mul(a, a)
-    total = sum(squared, axis=axis, keepdims=keepdims)
-    if epsilon:
-        total = basic.add(total, epsilon)
-    return basic.sqrt(total)

@@ -32,16 +32,6 @@ def transpose(a, axes: Optional[Tuple[int, ...]] = None) -> Tensor:
     return make_op(data, (a,), backward)
 
 
-def moveaxis(a, source: int, destination: int) -> Tensor:
-    a = as_tensor(a)
-    data = np.moveaxis(a.data, source, destination)
-
-    def backward(grad):
-        return (np.moveaxis(grad, destination, source),)
-
-    return make_op(data, (a,), backward)
-
-
 def expand_dims(a, axis: int) -> Tensor:
     a = as_tensor(a)
     data = np.expand_dims(a.data, axis)
@@ -85,27 +75,6 @@ def stack(tensors: Sequence, axis: int = 0) -> Tensor:
     return make_op(data, tuple(tensors), backward)
 
 
-def pad(a, pad_width, value: float = 0.0) -> Tensor:
-    """Constant-pad; ``pad_width`` follows ``np.pad`` conventions."""
-    a = as_tensor(a)
-    data = np.pad(a.data, pad_width, mode="constant", constant_values=value)
-    norm_width = np.asarray(
-        np.broadcast_to(np.asarray(pad_width, dtype=int), (a.ndim, 2))
-        if np.asarray(pad_width).ndim <= 1
-        else pad_width,
-        dtype=int,
-    )
-    slices = tuple(
-        slice(before, before + dim)
-        for (before, _after), dim in zip(norm_width, a.shape)
-    )
-
-    def backward(grad):
-        return (grad[slices],)
-
-    return make_op(data, (a,), backward)
-
-
 def getitem(a, index) -> Tensor:
     """Differentiable basic/advanced indexing (scatter-add on backward)."""
     a = as_tensor(a)
@@ -115,35 +84,5 @@ def getitem(a, index) -> Tensor:
         out = np.zeros_like(a.data)
         np.add.at(out, index, grad)
         return (out,)
-
-    return make_op(data, (a,), backward)
-
-
-def flip(a, axis) -> Tensor:
-    a = as_tensor(a)
-    data = np.flip(a.data, axis=axis)
-
-    def backward(grad):
-        return (np.flip(grad, axis=axis),)
-
-    return make_op(data, (a,), backward)
-
-
-def tile(a, reps) -> Tensor:
-    a = as_tensor(a)
-    data = np.tile(a.data, reps)
-    reps_full = np.atleast_1d(np.asarray(reps, dtype=int))
-    ndim = max(a.ndim, len(reps_full))
-    reps_full = np.concatenate([np.ones(ndim - len(reps_full), dtype=int), reps_full])
-    orig = np.concatenate([np.ones(ndim - a.ndim, dtype=int), np.asarray(a.shape, dtype=int)])
-
-    def backward(grad):
-        # View grad as (rep_0, orig_0, rep_1, orig_1, ...) and sum the
-        # repetition axes, folding every tile back onto the source.
-        interleaved = []
-        for rep, dim in zip(reps_full, orig):
-            interleaved.extend((int(rep), int(dim)))
-        g = grad.reshape(interleaved).sum(axis=tuple(range(0, 2 * ndim, 2)))
-        return (g.reshape(a.shape),)
 
     return make_op(data, (a,), backward)

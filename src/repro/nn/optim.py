@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers. The paper uses Adam with lr=1e-3.
+"""Adam, the paper's optimizer (lr=1e-3, Sec. IV-C), and gradient clipping.
 
 Steps are allocation-free on the hot path: moment buffers update in place
 through reusable flat scratch arrays, and ``zero_grad`` just drops gradient
@@ -37,6 +37,7 @@ class Optimizer:
         self.parameters: List[Parameter] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
+        self._step_count = 0
         self._scratch: Dict[str, np.ndarray] = {}
 
     def zero_grad(self) -> None:
@@ -47,7 +48,7 @@ class Optimizer:
     # Full-state checkpointing.
     # ------------------------------------------------------------------
     def _hyper(self) -> Dict[str, float]:
-        """Scalar hyperparameters, for recording and load-time validation."""
+        """Scalar hyperparameters, recorded with the state (not validated on load)."""
         return {}
 
     def _slots(self) -> Dict[str, List[np.ndarray]]:
@@ -58,7 +59,7 @@ class Optimizer:
         """Everything needed to continue stepping exactly where we left off."""
         return {
             "type": type(self).__name__,
-            "step_count": int(getattr(self, "_step_count", 0)),
+            "step_count": self._step_count,
             "hyper": self._hyper(),
             "slots": {name: [b.copy() for b in buffers] for name, buffers in self._slots().items()},
         }
@@ -92,8 +93,7 @@ class Optimizer:
                         f"saved {value.shape}, expected {buffer.shape}"
                     )
                 np.copyto(buffer, value.astype(buffer.dtype, copy=False))
-        if hasattr(self, "_step_count"):
-            self._step_count = int(state.get("step_count", 0))
+        self._step_count = int(state.get("step_count", 0))
 
     def _scratch_for(self, param: Parameter, slot: str) -> np.ndarray:
         """A reusable scratch view shaped like ``param`` (one flat buffer per
@@ -110,42 +110,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters, lr: float = 0.01, momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def _hyper(self) -> Dict[str, float]:
-        return {"lr": self.lr, "momentum": self.momentum, "weight_decay": self.weight_decay}
-
-    def _slots(self) -> Dict[str, List[np.ndarray]]:
-        return {"velocity": self._velocity}
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                scaled = self._scratch_for(param, "wd")
-                np.multiply(param.data, self.weight_decay, out=scaled)
-                scaled += grad
-                grad = scaled
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            update = self._scratch_for(param, "update")
-            np.multiply(grad, self.lr, out=update)
-            param.data -= update
-        engine.bump_weight_version()
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba, 2015) — the paper's optimizer, defaults matched."""
 
@@ -156,15 +120,12 @@ class Adam(Optimizer):
         beta1: float = 0.9,
         beta2: float = 0.999,
         epsilon: float = 1e-8,
-        weight_decay: float = 0.0,
     ):
         super().__init__(parameters)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
-        self.weight_decay = weight_decay
-        self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
 
@@ -174,7 +135,6 @@ class Adam(Optimizer):
             "beta1": self.beta1,
             "beta2": self.beta2,
             "epsilon": self.epsilon,
-            "weight_decay": self.weight_decay,
         }
 
     def _slots(self) -> Dict[str, List[np.ndarray]]:
@@ -188,11 +148,6 @@ class Adam(Optimizer):
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay:
-                scaled = self._scratch_for(param, "wd")
-                np.multiply(param.data, self.weight_decay, out=scaled)
-                scaled += grad
-                grad = scaled
             tmp = self._scratch_for(param, "tmp")
             # m = beta1*m + (1-beta1)*grad
             np.multiply(grad, 1.0 - self.beta1, out=tmp)
@@ -213,18 +168,6 @@ class Adam(Optimizer):
             tmp /= denom
             param.data -= tmp
         engine.bump_weight_version()
-
-
-OPTIMIZERS: Dict[str, type] = {"adam": Adam, "sgd": SGD}
-
-
-def make_optimizer(name: str, parameters: Iterable[Parameter], lr: float = 1e-3, **kwargs) -> Optimizer:
-    """Build an optimizer by name — the hook ``RunSpec.optimizer`` resolves through."""
-    try:
-        cls = OPTIMIZERS[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown optimizer {name!r}; choose from {sorted(OPTIMIZERS)}") from None
-    return cls(parameters, lr=lr, **kwargs)
 
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:

@@ -183,11 +183,6 @@ class Tensor:
 
         return ops.neg(self)
 
-    def __pow__(self, exponent):
-        from repro.nn import ops
-
-        return ops.power(self, exponent)
-
     def __matmul__(self, other):
         from repro.nn import ops
 

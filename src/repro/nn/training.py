@@ -31,7 +31,7 @@ from repro.nn import config, engine, serialization
 from repro.nn.divergence import DivergenceError
 from repro.nn.layers.base import Module
 from repro.nn.losses import get_loss
-from repro.nn.optim import Adam, Optimizer, clip_grad_norm, make_optimizer
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor
 from repro.obs import metrics as obs_metrics
 from repro.obs import runlog, tracing
@@ -124,7 +124,7 @@ def _shard_slices(count: int, shards: int) -> List[slice]:
 
 
 class Trainer:
-    """Train a Module mapping input arrays to target arrays.
+    """Train a Module mapping input arrays to target arrays, with Adam at ``lr``.
 
     The model's ``forward`` must accept a Tensor batch and return a Tensor
     batch with the same shape as the targets.
@@ -134,7 +134,6 @@ class Trainer:
         self,
         model: Module,
         loss: str = "l1",
-        optimizer: Optional[object] = None,
         lr: float = 1e-3,
         batch_size: int = 32,
         max_grad_norm: Optional[float] = 5.0,
@@ -143,11 +142,7 @@ class Trainer:
         self.model = model
         self.loss_name = loss if isinstance(loss, str) else getattr(loss, "__name__", "custom")
         self.loss_fn: Callable = get_loss(loss) if isinstance(loss, str) else loss
-        if optimizer is None:
-            optimizer = Adam(model.parameters(), lr=lr)
-        elif isinstance(optimizer, str):
-            optimizer = make_optimizer(optimizer, model.parameters(), lr=lr)
-        self.optimizer: Optimizer = optimizer
+        self.optimizer = Adam(model.parameters(), lr=lr)
         self.batch_size = batch_size
         self.max_grad_norm = max_grad_norm
         self.seed = seed
@@ -248,7 +243,6 @@ class Trainer:
         for epoch in range(start_epoch, epochs):
             start = time.perf_counter()
             epoch_losses = []
-            self.model.train()
             stopped_early = False
             if streaming:
                 epoch_batches = train_x.batches(self.batch_size, rng=self.rng)
@@ -480,26 +474,20 @@ class Trainer:
 
         Batches shard exactly as training steps do (:meth:`_batch_loss`).
         """
-        was_training = self.model.training
-        self.model.eval()
         losses = []
         weights = []
         with config.no_grad():
             for batch_x, batch_y in iterate_minibatches(inputs, targets, self.batch_size):
                 losses.append(self._batch_loss(batch_x, batch_y, backward=False))
                 weights.append(len(batch_x))
-        self.model.train(was_training)
         return float(np.average(losses, weights=weights))
 
     def predict(self, inputs: np.ndarray, batch_size: Optional[int] = None) -> np.ndarray:
         """Batched forward pass returning a numpy array."""
-        was_training = self.model.training
-        self.model.eval()
         batch_size = batch_size or self.batch_size
         outputs = []
         with config.no_grad():
             for start in range(0, len(inputs), batch_size):
                 batch = Tensor(inputs[start : start + batch_size])
                 outputs.append(self.model(batch).data)
-        self.model.train(was_training)
         return np.concatenate(outputs, axis=0)

@@ -1,10 +1,10 @@
 """Forecast-error drift detection and SLO budget tracking (pure leaf).
 
 A static checkpoint degrades silently as the demand distribution moves;
-this module is the *detector* half of the rolling-adaptation loop (ROADMAP
-item 2): feed it the service's forecast errors as held-out slots arrive and
-it says — deterministically — when the error level has shifted enough to
-warrant a warm-start fine-tune.
+this module is the *detector* half of the online-adaptation loop
+(:mod:`repro.serve.adapt`): feed it the service's forecast errors as
+held-out slots arrive and it says — deterministically — when the error
+level has shifted enough to warrant a warm-start fine-tune.
 
 Two detectors share :class:`DriftDetector`:
 

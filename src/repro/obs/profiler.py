@@ -30,7 +30,6 @@ from repro.obs import tracing
 # Shape/padding helpers re-exported by repro.nn.ops that are not autograd
 # ops; timing them would only add noise.
 _NON_OPS = {
-    "conv_output_size",
     "normalize_pads",
     "normalize_stride",
     "same_padding",

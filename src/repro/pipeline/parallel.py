@@ -18,7 +18,7 @@ Design constraints the implementation follows:
   metric dicts out. On platforms without ``fork`` the sweep silently runs
   serially — same results, no worker processes.
 - **Engine config travels with the job.** Each worker re-applies the
-  parent's engine snapshot (dtype, plan-cache flag) before its first run,
+  parent's engine snapshot (the dtype) before its first run,
   so a ``--dtype float64`` sweep is float64 in every worker even if the
   pool outlives a config change in the parent.
 - **Crash isolation.** A worker that raises — or dies outright, taking the
@@ -54,16 +54,12 @@ _FORK_CONTEXT: Dict[str, Any] = {}
 
 def engine_snapshot() -> Dict[str, Any]:
     """The engine configuration a worker must replicate to match the parent."""
-    return {
-        "dtype": np.dtype(nn_config.dtype()).str,
-        "plan_cache": nn_config.plan_cache_enabled(),
-    }
+    return {"dtype": np.dtype(nn_config.dtype()).str}
 
 
 def apply_engine_snapshot(snapshot: Dict[str, Any]) -> None:
     """Re-apply a parent's :func:`engine_snapshot` in this process."""
     nn_config.set_dtype(snapshot["dtype"])
-    nn_config.set_plan_cache_enabled(snapshot["plan_cache"])
 
 
 def _worker_init(snapshot: Dict[str, Any]) -> None:

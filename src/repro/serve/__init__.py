@@ -23,7 +23,7 @@ package is that loop, built on the pipeline's offline artifacts:
   ``forecast_drift_score`` gauges plus ``drift_detected`` / ``slo_burn``
   run-log events.
 - :mod:`repro.serve.adapt` — :class:`AdaptationController`: the closed
-  online-adaptation loop (ROADMAP item 2). Drift verdicts trigger a
+  online-adaptation loop. Drift verdicts trigger a
   warm-started fine-tune on the store's freshest windows (through
   ``repro.resilience`` recovery), a shadow-validation gate scores the
   candidate against the live model on held-out recent windows, and only a

@@ -36,9 +36,13 @@ spin the serving host.
 
 Observability: ``adaptation_{triggered,swapped,rejected,failed}`` run-log
 events, ``serve_adaptations_total{outcome=…}`` counters, gauges for the
-serving generation and last shadow-gate improvement, and a ``serve.adapt``
-trace span wrapping each attempt. :meth:`AdaptationController.status`
-feeds the gateway's ``GET /adaptation`` endpoint.
+serving generation and last shadow-gate improvement, and one trace per
+episode: :meth:`~AdaptationController.trigger` opens a ``serve.adapt``
+span, the attempt's ``serve.adapt.fine_tune``/``.shadow``/``.swap`` spans
+nest under it, it ends when the attempt concludes, and every
+``adaptation_*`` event carries its ``trace_id`` (null while tracing is not
+recording). :meth:`AdaptationController.status` feeds the gateway's
+``GET /adaptation`` endpoint.
 
 Layering: this module reaches training machinery only through two seams —
 ``repro.pipeline.loading`` / ``repro.pipeline.spec`` and the
@@ -194,6 +198,11 @@ class AdaptationPolicy:
         return cls(**config)
 
 
+def _trace_id(span) -> Optional[str]:
+    """The trace of a span handle; None while tracing is not recording."""
+    return span.context.trace_id if span.context is not None else None
+
+
 class AdaptationController:
     """Drives drift verdicts through fine-tune → shadow gate → hot-swap.
 
@@ -286,6 +295,11 @@ class AdaptationController:
                 return self._skip("cooldown")
             self._busy = True
         pinned = self.service.snapshot()
+        # The episode's trace: a detached span under the caller's open span,
+        # if any, ended by _conclude on whichever thread runs the attempt.
+        episode = tracing.start_span(
+            "serve.adapt", service=self.label, reason=reason, generation=pinned.number
+        )
         self.triggered += 1
         obs_metrics.counter(
             "serve_adaptation_triggers_total", service=self.label
@@ -296,18 +310,19 @@ class AdaptationController:
             reason=reason,
             generation=pinned.number,
             windows=self.store.num_windows,
+            trace_id=_trace_id(episode),
         )
         if self.background:
             worker = threading.Thread(
                 target=self._run,
-                args=(reason, pinned),
+                args=(pinned, episode),
                 name=f"adapt-{self.label}",
                 daemon=True,
             )
             self._worker = worker
             worker.start()
         else:
-            self._run(reason, pinned)
+            self._run(pinned, episode)
         return True
 
     def _skip(self, cause: str) -> bool:
@@ -331,15 +346,10 @@ class AdaptationController:
 
     # ------------------------------------------------------------------
     # The attempt itself.
-    def _run(self, reason: str, pinned) -> None:
+    def _run(self, pinned, episode) -> None:
         outcome, failure, shadow, generation = "swapped", None, None, None
         try:
-            with tracing.span(
-                "serve.adapt",
-                service=self.label,
-                reason=reason,
-                generation=pinned.number,
-            ):
+            with tracing.use_context(episode.context):
                 shadow, generation = self._attempt(pinned)
         except GateRejected as error:
             outcome, failure = "rejected", error
@@ -356,10 +366,11 @@ class AdaptationController:
         except Exception as error:  # noqa: BLE001 - adaptation never kills serving
             outcome, failure = "failed", AdaptationError(str(error))
         finally:
-            self._conclude(outcome, failure, shadow, generation, pinned)
+            self._conclude(outcome, failure, shadow, generation, pinned, episode)
 
-    def _conclude(self, outcome, failure, shadow, generation, pinned) -> None:
+    def _conclude(self, outcome, failure, shadow, generation, pinned, episode) -> None:
         reason = failure.reason if failure is not None else None
+        trace_id = _trace_id(episode)
         obs_metrics.counter(
             "serve_adaptations_total", service=self.label, outcome=outcome
         ).inc()
@@ -375,6 +386,7 @@ class AdaptationController:
                 "adaptation_swapped",
                 service=self.label,
                 generation=generation,
+                trace_id=trace_id,
                 **(shadow.as_dict() if shadow is not None else {}),
             )
         elif outcome == "rejected":
@@ -383,6 +395,7 @@ class AdaptationController:
                 "adaptation_rejected",
                 service=self.label,
                 generation=pinned.number,
+                trace_id=trace_id,
                 **(shadow.as_dict() if shadow is not None else {}),
             )
         else:
@@ -396,7 +409,9 @@ class AdaptationController:
                 generation=pinned.number,
                 reason=reason,
                 error=str(failure),
+                trace_id=trace_id,
             )
+        episode.end(status="ok" if outcome == "swapped" else "error", outcome=outcome)
         with self._lock:
             self._busy = False
             if outcome == "swapped":

@@ -5,8 +5,8 @@ module is the glue that feeds it from a live :class:`ForecastService` and
 publishes the verdicts — ``forecast_drift_score`` gauges,
 ``drift_detected`` / ``slo_burn`` run-log events, counters — so the rest
 of the stack (dashboards scraping :mod:`repro.obs.serve_metrics`, and the
-warm-start fine-tune trigger of ROADMAP item 2) sees them without knowing
-the detector math.
+online-adaptation loop's fine-tune trigger in :mod:`repro.serve.adapt`)
+sees them without knowing the detector math.
 
 Typical loop, as each held-out slot's ground truth arrives::
 

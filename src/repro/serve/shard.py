@@ -1,10 +1,11 @@
 """Region-sharded serving: partition the city grid, answer shard by shard, merge.
 
 One :class:`~repro.serve.service.ForecastService` per *region shard* is the
-city-scale deployment shape (ROADMAP item 2): each shard owns a contiguous
-``(rows, cols)`` block of the ``(G1, G2)`` grid with its **own** scaler and
-checkpoint — demand extrema differ between downtown and suburb blocks, so
-per-shard normalization is a feature, not an accident. The pieces:
+deployment shape, one shard being the unsharded case: each shard owns a
+contiguous ``(rows, cols)`` block of the ``(G1, G2)`` grid with its **own**
+scaler and checkpoint — demand extrema differ between downtown and suburb
+blocks, so per-shard normalization is a feature, not an accident. The
+pieces:
 
 - :func:`partition_grid` — split ``(G1, G2)`` into ``num_shards`` contiguous
   :class:`ShardRegion` blocks that tile the grid exactly; one shard is the

@@ -27,21 +27,20 @@ def _runlog_tmpdir(tmp_path_factory):
 
 @pytest.fixture(autouse=True)
 def _engine_state_guard():
-    """Fail any test that leaves the substrate's dtype, grad flag or plan cache changed.
+    """Fail any test that leaves the substrate's dtype or grad flag changed.
 
     A leaked dtype would silently run every later test file in it.
     """
     from repro.nn import config
 
-    before = (config.dtype(), config.grad_enabled(), config.plan_cache_enabled())
+    before = (config.dtype(), config.grad_enabled())
     yield
-    after = (config.dtype(), config.grad_enabled(), config.plan_cache_enabled())
+    after = (config.dtype(), config.grad_enabled())
     if after != before:
         config.set_dtype(before[0])
         config.set_grad_enabled(before[1])
-        config.set_plan_cache_enabled(before[2])
         pytest.fail(
-            "test left engine state changed: (dtype, grad_enabled, plan_cache) "
+            "test left engine state changed: (dtype, grad_enabled) "
             f"was {before}, now {after}"
         )
 

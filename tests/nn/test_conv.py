@@ -8,7 +8,6 @@ from repro.nn.config import use_dtype
 from repro.nn.gradcheck import check_gradients
 from repro.nn.ops.conv import (
     conv3d_forward,
-    conv_output_size,
     normalize_pads,
     normalize_stride,
     same_padding,
@@ -52,12 +51,6 @@ class TestHelpers:
         assert same_padding((3, 5, 1)) == (1, 2, 0)
         with pytest.raises(ValueError):
             same_padding((4,))
-
-    def test_conv_output_size(self):
-        assert conv_output_size(8, 3, 1, 1, 1) == 8
-        assert conv_output_size(8, 3, 2, 0, 0) == 3
-        with pytest.raises(ValueError):
-            conv_output_size(2, 5, 1, 0, 0)
 
 
 class TestConv3DForward:

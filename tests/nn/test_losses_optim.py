@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, Linear, Parameter, Tensor, clip_grad_norm
+from repro.nn import Adam, Parameter, Tensor, clip_grad_norm
 from repro.nn.gradcheck import check_gradients
-from repro.nn.losses import get_loss, huber_loss, l1_loss, mse_loss
+from repro.nn.losses import get_loss, l1_loss, mse_loss
 
 
 class TestLosses:
@@ -15,17 +15,9 @@ class TestLosses:
     def test_mse_value(self):
         assert mse_loss(Tensor([1.0, 3.0]), Tensor([0.0, 1.0])).item() == 2.5
 
-    def test_huber_is_quadratic_inside_delta(self):
-        small = huber_loss(Tensor([0.5]), Tensor([0.0]), delta=1.0).item()
-        assert np.isclose(small, 0.5 * 0.25)
-
-    def test_huber_is_linear_outside_delta(self):
-        large = huber_loss(Tensor([3.0]), Tensor([0.0]), delta=1.0).item()
-        assert np.isclose(large, 3.0 - 0.5)
-
     def test_losses_zero_at_perfect_prediction(self, rng):
         y = Tensor(rng.standard_normal((4, 5)))
-        for loss in (l1_loss, mse_loss, huber_loss):
+        for loss in (l1_loss, mse_loss):
             assert loss(y, y).item() == 0.0
 
     def test_gradients(self, rng):
@@ -52,22 +44,6 @@ class TestOptimizers:
         w.grad = 2.0 * (w.data - target)
         return float(((w.data - target) ** 2).sum())
 
-    def test_sgd_converges(self):
-        w, target = self._quadratic_problem()
-        opt = SGD([w], lr=0.1)
-        for _ in range(100):
-            self._loss_and_grad(w, target)
-            opt.step()
-        assert np.allclose(w.data, target, atol=1e-4)
-
-    def test_sgd_momentum_converges(self):
-        w, target = self._quadratic_problem()
-        opt = SGD([w], lr=0.05, momentum=0.9)
-        for _ in range(150):
-            self._loss_and_grad(w, target)
-            opt.step()
-        assert np.allclose(w.data, target, atol=1e-3)
-
     def test_adam_converges(self):
         w, target = self._quadratic_problem()
         opt = Adam([w], lr=0.1)
@@ -76,23 +52,15 @@ class TestOptimizers:
             opt.step()
         assert np.allclose(w.data, target, atol=1e-3)
 
-    def test_weight_decay_shrinks_solution(self):
-        w, target = self._quadratic_problem()
-        opt = SGD([w], lr=0.1, weight_decay=1.0)
-        for _ in range(200):
-            self._loss_and_grad(w, target)
-            opt.step()
-        assert np.all(np.abs(w.data) < np.abs(target))
-
     def test_step_skips_parameters_without_grad(self):
         w = Parameter(np.ones(2))
-        opt = SGD([w], lr=0.5)
+        opt = Adam([w], lr=0.5)
         opt.step()  # no grad set: must not move or crash
         assert np.allclose(w.data, 1.0)
 
     def test_optimizer_rejects_empty_parameters(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_zero_grad(self):
         w = Parameter(np.ones(2))

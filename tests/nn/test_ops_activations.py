@@ -14,11 +14,7 @@ def _t(array):
 
 
 class TestGradients:
-    @pytest.mark.parametrize(
-        "fn",
-        [ops.sigmoid, ops.tanh, ops.elu, lambda x: ops.leaky_relu(x, 0.1)],
-        ids=["sigmoid", "tanh", "elu", "leaky_relu"],
-    )
+    @pytest.mark.parametrize("fn", [ops.sigmoid, ops.tanh], ids=["sigmoid", "tanh"])
     def test_smooth_activations(self, fn, rng):
         x = _t(rng.standard_normal((3, 4)) + 0.3)
         check_gradients(fn, [x])
@@ -29,17 +25,6 @@ class TestGradients:
         y = _t(-np.abs(rng.standard_normal((3, 4))) - 1.0)  # strictly negative
         check_gradients(lambda y: ops.relu(y), [y])
 
-    @pytest.mark.parametrize("axis", [-1, 0, (0, 1)])
-    def test_softmax_gradient(self, axis, rng):
-        x = _t(rng.standard_normal((3, 4)))
-        weights = Tensor(rng.random((3, 4)))
-        check_gradients(lambda x: ops.mul(ops.softmax(x, axis=axis), weights), [x])
-
-    def test_log_softmax_gradient(self, rng):
-        x = _t(rng.standard_normal((3, 4)))
-        weights = Tensor(rng.random((3, 4)))
-        check_gradients(lambda x: ops.mul(ops.log_softmax(x, axis=-1), weights), [x])
-
 
 class TestSemantics:
     def test_sigmoid_range_and_extremes(self):
@@ -47,37 +32,8 @@ class TestSemantics:
         assert np.allclose(out, [0.0, 0.5, 1.0])
         assert np.all(np.isfinite(out))
 
-    def test_softmax_sums_to_one(self, rng):
-        out = ops.softmax(Tensor(rng.standard_normal((5, 7))), axis=-1).data
-        assert np.allclose(out.sum(axis=-1), 1.0)
-
-    def test_softmax_joint_axes_sum_to_one(self, rng):
-        out = ops.softmax(Tensor(rng.standard_normal((5, 3, 7))), axis=(1, 2)).data
-        assert np.allclose(out.sum(axis=(1, 2)), 1.0)
-
-    def test_softmax_invariant_to_shift(self, rng):
-        data = rng.standard_normal((4, 4))
-        a = ops.softmax(Tensor(data), axis=-1).data
-        b = ops.softmax(Tensor(data + 100.0), axis=-1).data
-        assert np.allclose(a, b)
-
-    def test_log_softmax_is_log_of_softmax(self, rng):
-        data = rng.standard_normal((4, 4))
-        assert np.allclose(
-            ops.log_softmax(Tensor(data)).data,
-            np.log(ops.softmax(Tensor(data)).data),
-        )
-
-    def test_relu_and_leaky_relu_values(self):
-        x = Tensor([-2.0, 3.0])
-        assert np.allclose(ops.relu(x).data, [0.0, 3.0])
-        assert np.allclose(ops.leaky_relu(x, 0.1).data, [-0.2, 3.0])
-
-    def test_elu_continuous_at_zero(self):
-        eps = 1e-9
-        left = ops.elu(Tensor([-eps])).data
-        right = ops.elu(Tensor([eps])).data
-        assert abs(left - right) < 1e-6
+    def test_relu_values(self):
+        assert np.allclose(ops.relu(Tensor([-2.0, 3.0])).data, [0.0, 3.0])
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=10))

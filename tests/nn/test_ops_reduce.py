@@ -43,10 +43,6 @@ class TestMaxMin:
         ops.max(x).backward()
         assert np.allclose(x.grad, [0.5, 0.5, 0.0])
 
-    def test_min_matches_numpy(self, rng):
-        data = rng.standard_normal((4, 4))
-        assert np.allclose(ops.min(Tensor(data), axis=0).data, data.min(axis=0))
-
     @pytest.mark.parametrize("axis", [None, 0, 1])
     def test_max_gradcheck_on_distinct_values(self, axis, rng):
         # Distinct values keep finite differences well-defined at the max.
@@ -54,18 +50,3 @@ class TestMaxMin:
         x = _t(data)
         check_gradients(lambda x: ops.max(x, axis=axis), [x], epsilon=1e-4)
 
-
-class TestNorm:
-    def test_norm_value(self):
-        x = Tensor([[3.0, 4.0]])
-        assert np.allclose(ops.norm(x, axis=1).data, [5.0])
-
-    def test_norm_gradient(self, rng):
-        x = _t(rng.standard_normal((3, 4)) + 1.0)
-        check_gradients(lambda x: ops.norm(x, axis=1), [x])
-
-    def test_norm_epsilon_is_zero_safe(self):
-        x = _t(np.zeros((2, 3)))
-        out = ops.norm(x, axis=1, epsilon=1e-9)
-        out.sum().backward()
-        assert np.all(np.isfinite(x.grad))

@@ -96,19 +96,6 @@ class TestTrainer:
         assert empty.best_epoch is None
         assert empty.total_seconds == 0.0
 
-    def test_evaluate_and_predict_restore_model_mode(self, rng):
-        x, y = self._linear_data(rng, n=16)
-        model = Linear(3, 1, rng=0)
-        trainer = Trainer(model, seed=0)
-        model.eval()
-        trainer.evaluate(x, y)
-        assert model.training is False  # was eval, stays eval
-        trainer.predict(x)
-        assert model.training is False
-        model.train()
-        trainer.evaluate(x, y)
-        assert model.training is True  # was train, stays train
-
 
 class TestSerialization:
     def test_save_load_roundtrip(self, tmp_path, rng):

@@ -18,6 +18,7 @@ import pytest
 from repro import faults
 from repro.nn.divergence import DivergenceError
 from repro.obs import metrics as obs_metrics
+from repro.obs import tracing
 from repro.obs.runlog import RunLogger, read_events
 from repro.pipeline.spec import RunSpec
 from repro.resilience import RecoveryPolicy
@@ -254,6 +255,67 @@ class TestHappyPath:
         assert controller.observe(drifted) is True
         assert controller.triggered == 1
         assert controller.last_outcome == "swapped"
+
+
+def _crash():
+    raise RuntimeError("fine-tune crashed")
+
+
+class TestEpisodeTrace:
+    """One trace per adaptation episode: the trigger opens ``serve.adapt``,
+    the attempt's spans nest under it, and every ``adaptation_*`` event
+    names its trace."""
+
+    @pytest.mark.parametrize(
+        "candidate_value, fit_hook, outcome, children",
+        [
+            (0.5, None, "swapped", ["fine_tune", "shadow", "swap"]),
+            (0.9, None, "rejected", ["fine_tune", "shadow"]),
+            (0.5, _crash, "failed", ["fine_tune"]),
+        ],
+        ids=["swapped", "rejected", "failed"],
+    )
+    def test_events_and_spans_share_one_trace(
+        self, serve_dataset, tmp_path, monkeypatch, candidate_value, fit_hook, outcome, children
+    ):
+        controller = _controller(
+            serve_dataset,
+            monkeypatch,
+            candidate_value=candidate_value,
+            fit_hook=fit_hook,
+            label=f"adapt-trace-{outcome}",
+        )
+        with RunLogger(str(tmp_path / "adapt.jsonl")) as logger:
+            tracing.start_recording()
+            try:
+                assert controller.trigger(reason="test-drift") is True
+                records = tracing.recent()
+            finally:
+                tracing.stop_recording()
+                tracing.reset()
+        assert controller.last_outcome == outcome
+        events = [e for e in read_events(logger.path) if e["event"].startswith("adaptation_")]
+        assert [e["event"] for e in events] == ["adaptation_triggered", f"adaptation_{outcome}"]
+        (trace_id,) = {e["trace_id"] for e in events}
+        assert trace_id is not None
+        in_trace = [r for r in records if r["trace_id"] == trace_id]
+        (episode,) = [r for r in in_trace if r["name"] == "serve.adapt"]
+        assert episode["parent_id"] is None
+        assert episode["attributes"]["outcome"] == outcome
+        nested = sorted(
+            r["name"] for r in in_trace if r["parent_id"] == episode["span_id"]
+        )
+        assert nested == sorted(f"serve.adapt.{name}" for name in children)
+
+    def test_events_carry_no_trace_id_while_not_recording(
+        self, serve_dataset, tmp_path, monkeypatch
+    ):
+        controller = _controller(serve_dataset, monkeypatch, label="adapt-untraced")
+        with RunLogger(str(tmp_path / "adapt.jsonl")) as logger:
+            assert controller.trigger() is True
+        events = [e for e in read_events(logger.path) if e["event"].startswith("adaptation_")]
+        assert [e["event"] for e in events] == ["adaptation_triggered", "adaptation_swapped"]
+        assert [e["trace_id"] for e in events] == [None, None]
 
 
 class TestGateRejection:
