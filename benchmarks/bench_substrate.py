@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import BikeCAP, BikeCAPConfig, SpatialTemporalRouting, squash
-from repro.nn import Tensor, engine, ops
+from repro.nn import Tensor, ops
 from repro.nn.ops.conv import conv3d_forward, conv3d_input_grad, conv3d_weight_grad
 from repro.obs import metrics as obs_metrics
 from repro.obs.artifacts import atomic_write_json
@@ -120,14 +120,24 @@ def test_conv3d_input_grad_kernel(benchmark, arrays):
     assert out.shape == arrays["x3d"].shape
 
 
-def test_engine_einsum_cached(benchmark, arrays):
-    """The routing agreement contraction through the engine's path cache."""
+def test_pyramid_fft_conv_forward_weight_grad(benchmark):
+    """One paper-geometry training shard of the pyramid conv (batch 16,
+    4→4 channels, 5×9×9 kernel, float32): the FFT forward and the weight
+    gradient that reuses its input FFT."""
     rng = np.random.default_rng(1)
-    votes = rng.standard_normal((4, 4, 4, 32, 10, 10))
-    squashed = rng.standard_normal((4, 4, 4, 10, 10))
-    out = benchmark(lambda: engine.einsum("npdsxy,npdxy->nspxy", votes, squashed))
-    _record(benchmark, "engine_einsum_cached")
-    assert out.shape == (4, 32, 4, 10, 10)
+    x = rng.standard_normal((16, 4, 8, 16, 12)).astype(np.float32)
+    w = rng.standard_normal((4, 4, 5, 9, 9)).astype(np.float32)
+    pads = ((4, 0), (4, 4), (4, 4))
+    gout = rng.standard_normal((16, 4, 8, 16, 12)).astype(np.float32)
+
+    def step():
+        capture = {}
+        conv3d_forward(x, w, (1, 1, 1), pads, _capture=capture)
+        return conv3d_weight_grad(x, gout, (5, 9, 9), (1, 1, 1), pads, _captured=capture)
+
+    grad = benchmark(step)
+    _record(benchmark, "pyramid_fft_conv_forward_weight_grad")
+    assert grad.shape == w.shape
 
 
 def test_adam_step(benchmark):

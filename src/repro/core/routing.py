@@ -147,47 +147,37 @@ class SpatialTemporalRouting(Module):
             # the uniform softmax — materialize it directly instead of
             # building and softmaxing a full zeros tensor, and accumulate
             # logits from the first agreement onward.
-            def _emit(iteration: int, agreement: np.ndarray) -> None:
-                if primary and runlog.active():
-                    runlog.emit(
-                        "routing_iter",
-                        iteration=iteration + 1,
-                        iterations=self.iterations,
-                        agreement_mean=float(agreement.mean()),
-                        agreement_abs_mean=float(np.abs(agreement).mean()),
-                    )
-
+            logits = None
+            coupling = np.full(
+                (batch, count, horizon, g1, g2),
+                1.0 / (horizon * g1 * g2),
+                dtype=votes_np.dtype,
+            )
+            last_agreement = None
             with tracing.span("routing.iterations"):
-                fused_iters = fusion.routing_iterations(
-                    votes_np, self.iterations, emit=_emit, epsilon=_EPSILON
-                )
-            if fused_iters is not None:
-                coupling, last_agreement = fused_iters
-            else:
-                logits = None
-                coupling = np.full(
-                    (batch, count, horizon, g1, g2),
-                    1.0 / (horizon * g1 * g2),
-                    dtype=votes_np.dtype,
-                )
-                last_agreement = None
-                with tracing.span("routing.iterations"):
-                    for iteration in range(self.iterations - 1):
-                        # (N, s, p, G1, G2) -> broadcastable against V (N, p, n_out, s, G1, G2).
-                        # Broadcast-multiply-sum beats the equivalent einsum here
-                        # (measured): the temp is small enough to stay cheap.
-                        weights = np.expand_dims(coupling.transpose(0, 2, 1, 3, 4), axis=2)
-                        combined = (votes_np * weights).sum(axis=3)  # (N, p, n_out, G1, G2)
-                        squashed = squash_np(combined, axis=2)
-                        # Agreement: dot product between each vote and the combined
-                        # capsule. Plain (unoptimized) einsum: at routing sizes the
-                        # direct C loop beats any precomputed contraction path,
-                        # which pays for tensordot reshapes it can never amortize.
-                        agreement = np.einsum("npdsxy,npdxy->nspxy", votes_np, squashed)
-                        logits = agreement if logits is None else logits + agreement
-                        coupling = softmax_3d(logits)
-                        last_agreement = agreement
-                        _emit(iteration, agreement)
+                for iteration in range(self.iterations - 1):
+                    # (N, s, p, G1, G2) -> broadcastable against V (N, p, n_out, s, G1, G2).
+                    # Broadcast-multiply-sum beats the equivalent einsum here
+                    # (measured): the temp is small enough to stay cheap.
+                    weights = np.expand_dims(coupling.transpose(0, 2, 1, 3, 4), axis=2)
+                    combined = (votes_np * weights).sum(axis=3)  # (N, p, n_out, G1, G2)
+                    squashed = squash_np(combined, axis=2)
+                    # Agreement: dot product between each vote and the combined
+                    # capsule. Plain (unoptimized) einsum: at routing sizes the
+                    # direct C loop beats any precomputed contraction path,
+                    # which pays for tensordot reshapes it can never amortize.
+                    agreement = np.einsum("npdsxy,npdxy->nspxy", votes_np, squashed)
+                    logits = agreement if logits is None else logits + agreement
+                    coupling = softmax_3d(logits)
+                    last_agreement = agreement
+                    if primary and runlog.active():
+                        runlog.emit(
+                            "routing_iter",
+                            iteration=iteration + 1,
+                            iterations=self.iterations,
+                            agreement_mean=float(agreement.mean()),
+                            agreement_abs_mean=float(np.abs(agreement).mean()),
+                        )
 
             if primary:
                 obs_metrics.counter("routing_forward_total").inc()

@@ -5,10 +5,10 @@ numpy kernels, and training repeats them thousands of times on identical
 shapes. This module reuses the work that is invariant across those calls
 and owns the substrate's threads:
 
-- **Plan cache** — ``np.einsum`` contraction paths, keyed by shape/dtype
-  signatures. Looked up once per signature, hit thereafter
-  (``engine_plan_cache_*`` counters). Conv dispatch needs no cache: it is
-  one comparison on the kernel shape (:mod:`repro.nn.ops.conv`).
+- **Plan cache** — the direct convs' tap windows (kind ``conv_taps``),
+  keyed by kernel, stride and output shape. Built once per signature, hit
+  thereafter (``engine_plan_cache_*`` counters). Conv dispatch needs no
+  cache: it is one comparison on the kernel shape (:mod:`repro.nn.ops.conv`).
 - **Weight-derived caches** — the precomputed kernel FFT and the masked
   effective weight (pyramid gating) are invariant while the weights are
   unchanged; entries are keyed by the weight array's identity plus a global
@@ -84,8 +84,8 @@ def no_cache():
 
     Required around code that mutates parameter data in place without an
     optimizer step — the finite-difference gradcheck is the canonical user.
-    Pure shape-keyed plans (einsum paths) stay active; they are functions
-    of the signature alone and cannot go stale. Fused
+    Pure shape-keyed plans (conv tap windows) stay active; they are
+    functions of the signature alone and cannot go stale. Fused
     kernels (:mod:`repro.nn.fusion`) are also disabled inside the block:
     although bit-equivalent by construction, the bypass makes the block
     the unfused reference path that gradchecks and the fusion parity
@@ -99,20 +99,38 @@ def no_cache():
 
 
 # ---------------------------------------------------------------------------
-# Plan cache: einsum contraction paths and fused-kernel plans
+# Plan cache: shape-keyed execution plans and fused-kernel plans
 # ---------------------------------------------------------------------------
 
+T = TypeVar("T")
+
 _plan_lock = threading.Lock()
-_einsum_paths: Dict[Tuple, list] = {}
+_plans: Dict[Tuple, object] = {}
 _fused_plans: Dict[Tuple, object] = {}
 
 
-def _plan_hit(kind: str) -> None:
-    obs_metrics.counter("engine_plan_cache_hits_total", kind=kind).inc()
+def _cached_plan(store: Dict[Tuple, object], metric: str, key: Tuple, builder):
+    with _plan_lock:
+        value = store.get(key)
+    if value is not None:
+        obs_metrics.counter(f"{metric}_hits_total", kind=key[0]).inc()
+        return value
+    value = builder()
+    with _plan_lock:
+        store[key] = value
+    obs_metrics.counter(f"{metric}_misses_total", kind=key[0]).inc()
+    return value
 
 
-def _plan_miss(kind: str) -> None:
-    obs_metrics.counter("engine_plan_cache_misses_total", kind=kind).inc()
+def plan(key: Tuple, builder: Callable[[], T]) -> T:
+    """Shape-keyed cache of execution plans.
+
+    ``key[0]`` names the plan kind (``conv_taps``) and the rest pins the
+    signature the plan is a function of, so an entry cannot go stale and
+    stays active inside ``no_cache()``. Hit/miss traffic is exported as
+    ``engine_plan_cache_*_total``.
+    """
+    return _cached_plan(_plans, "engine_plan_cache", key, builder)
 
 
 def fused_plan(key: Tuple, builder: Callable[[], object]):
@@ -126,33 +144,7 @@ def fused_plan(key: Tuple, builder: Callable[[], object]):
     """
     if not caches_enabled():
         return None
-    with _plan_lock:
-        plan = _fused_plans.get(key)
-    if plan is not None:
-        obs_metrics.counter("engine_fusion_cache_hits_total", kind=key[0]).inc()
-        return plan
-    plan = builder()
-    with _plan_lock:
-        _fused_plans[key] = plan
-    obs_metrics.counter("engine_fusion_cache_misses_total", kind=key[0]).inc()
-    return plan
-
-
-def einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum`` with the contraction path cached per shape signature."""
-    key = (subscripts,) + tuple(
-        (op.shape, np.dtype(op.dtype).str) for op in operands
-    )
-    with _plan_lock:
-        path = _einsum_paths.get(key)
-    if path is None:
-        path = np.einsum_path(subscripts, *operands, optimize=True)[0]
-        with _plan_lock:
-            _einsum_paths[key] = path
-        _plan_miss("einsum_path")
-    else:
-        _plan_hit("einsum_path")
-    return np.einsum(subscripts, *operands, optimize=path)
+    return _cached_plan(_fused_plans, "engine_fusion_cache", key, builder)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +231,7 @@ def masked_weight(w: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def clear_caches() -> None:
     """Drop every cached plan and weight-derived entry (tests, benchmarks)."""
     with _plan_lock:
-        _einsum_paths.clear()
+        _plans.clear()
         _fused_plans.clear()
     _kernel_fft_cache.clear()
     _masked_weight_cache.clear()
@@ -263,7 +255,7 @@ def plan_cache_stats() -> Dict[str, object]:
     """
     with _plan_lock:
         entries = {
-            "einsum_paths": len(_einsum_paths),
+            "plans": len(_plans),
             "fused_kernels": len(_fused_plans),
         }
     with _kernel_fft_cache._lock:
@@ -301,12 +293,12 @@ def warmup(
     """Prime the shape-keyed caches behind an inference path.
 
     Runs ``forward`` once per requested batch size on zero-filled inputs of
-    shape ``(batch,) + example_shape``, discarding the outputs. Every plan
-    in this module is keyed by the *full* shape signature — batch included —
+    shape ``(batch,) + example_shape``, discarding the outputs. Conv tap
+    plans and kernel FFTs are keyed by the spatial shape alone, but the
+    fused-kernel plans pin the *full* shape signature — batch included —
     so a service must warm each batch size it will actually serve (e.g. 1
     and its micro-batch cap), or the first real request at that size pays
-    for einsum path search and kernel-FFT construction. Returns the number
-    of forward calls made.
+    for building them. Returns the number of forward calls made.
     """
     dtype = np.dtype(dtype if dtype is not None else config.dtype())
     calls = 0
@@ -379,8 +371,6 @@ pin_blas_threads()
 _executor_lock = threading.Lock()
 _executor: Optional[ThreadPoolExecutor] = None
 _shard = threading.local()
-
-T = TypeVar("T")
 
 
 def _pool() -> ThreadPoolExecutor:

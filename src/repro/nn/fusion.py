@@ -22,10 +22,9 @@ Fused kernels:
 - :func:`fused_squash` — the capsule squash (paper Eq. 3) as one node.
 - :func:`fused_weighted_combine_squash` — the routing tail
   ``squash(sum(votes * weights))`` as one node (weights detached).
-- :func:`routing_iterations` — the detached numpy routing loop as one
-  cached, traced sequence (statements kept layout-identical to the
-  reference: pairwise reduction results depend on operand memory layout,
-  so ``out=`` rewrites here would break bit-parity).
+
+The detached routing iterations need no kernel: they are plain numpy
+outside autograd already, written once in :mod:`repro.core.routing`.
 
 Every kernel consults :func:`repro.nn.engine.fused_plan` first: under
 ``engine.no_cache()`` the plan lookup returns ``None`` and the caller
@@ -38,7 +37,7 @@ module sits below the model layers and imports only ``repro.nn.ops`` /
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -290,59 +289,3 @@ def fused_weighted_combine_squash(
         return (d_prod * weights,)
 
     return make_op(data, (votes,), backward)
-
-
-def routing_iterations(
-    votes_np: np.ndarray,
-    iterations: int,
-    emit: Optional[Callable[[int, np.ndarray], None]] = None,
-    epsilon: float = _EPSILON,
-) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
-    """The detached dynamic-routing loop as one cached fused sequence.
-
-    Bit-equivalent to the unfused loop in ``core.routing`` because it
-    executes the *same statements with the same memory layouts*. That
-    layout caveat is load-bearing: numpy's pairwise reductions associate
-    differently over a C-contiguous buffer than over the transposed view
-    ``einsum(...->nspxy)`` returns, so rewriting this loop with
-    ``out=`` buffers changes ``softmax`` sums in the last ulp. The
-    fused win for routing lives in :func:`fused_weighted_combine_squash`
-    (the autograd-visible tail); this entry point contributes the cached
-    plan (softmax axes + uniform first coupling, skipping the zeros
-    tensor the textbook formulation softmaxes) and a single traced call
-    site. Returns ``(coupling, last_agreement)`` — both caller-owned —
-    or ``None`` when fusion is inactive.
-    """
-    batch, horizon, n_out, count, g1, g2 = votes_np.shape
-    plan = engine.fused_plan(
-        ("routing_iters", votes_np.shape, iterations, np.dtype(votes_np.dtype).str),
-        lambda: {
-            "softmax_axes": (-3, -2, -1),
-            "uniform": 1.0 / (horizon * g1 * g2),
-        },
-    )
-    if plan is None:
-        return None
-    softmax_axes = plan["softmax_axes"]
-
-    coupling = np.full(
-        (batch, count, horizon, g1, g2), plan["uniform"], dtype=votes_np.dtype
-    )
-    agreement = None
-    logits = None
-    for iteration in range(iterations - 1):
-        weights = np.expand_dims(coupling.transpose(0, 2, 1, 3, 4), axis=2)
-        combined = (votes_np * weights).sum(axis=3)
-        # squash_np: sq = (x**2).sum; out = x*sq / ((1+sq)*sqrt(sq+eps)).
-        squared_norm = (combined**2).sum(axis=2, keepdims=True)
-        norm = np.sqrt(squared_norm + epsilon)
-        squashed = combined * squared_norm / ((1.0 + squared_norm) * norm)
-        agreement = np.einsum("npdsxy,npdxy->nspxy", votes_np, squashed)
-        logits = agreement if logits is None else logits + agreement
-        # softmax_3d: jointly over (horizon, G1, G2), max-shifted.
-        shifted = logits - logits.max(axis=softmax_axes, keepdims=True)
-        exp = np.exp(shifted)
-        coupling = exp / exp.sum(axis=softmax_axes, keepdims=True)
-        if emit is not None:
-            emit(iteration, agreement)
-    return coupling, agreement

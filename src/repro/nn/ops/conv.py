@@ -11,7 +11,9 @@ verified by finite differences.
 Two strategies, chosen from the kernel volume alone
 ---------------------------------------------------
 - **direct** (volume < ``FFT_MIN_KERNEL_VOLUME`` = 48): plain slicing plus
-  one ``np.matmul`` per sample. Each direction expands only the operand
+  one ``np.matmul`` per sample. The tap windows the slicing reads are
+  built once per shape and held in the engine's plan cache (kind
+  ``conv_taps``). Each direction expands only the operand
   with fewer channels by the kernel taps. The forward is im2col then GEMM
   when ``C_in ≤ C_out``, otherwise GEMM then a shifted-plane add. The
   input gradient is GEMM then col2im when ``C_in ≤ C_out``, otherwise the
@@ -20,9 +22,11 @@ Two strategies, chosen from the kernel volume alone
   im2col columns the forward captured.
 - **fft** (volume ≥ 48, i.e. the pyramid kernels): frequency-domain
   convolution via ``scipy.fft``, whose cost scales with the *input* volume
-  only. Kernel FFTs are cached across calls while the weights are
-  unchanged, and the padded-input FFT computed on the forward pass is
-  reused by the weight gradient of the same op.
+  only. The channels are contracted per frequency bin by complex
+  multiply-accumulates: over the input channels on the forward pass, over
+  the samples for the weight gradient. Kernel FFTs are cached across calls
+  while the weights are unchanged, and the padded-input FFT computed on
+  the forward pass is reused by the weight gradient of the same op.
 
 The direct kernels bound their transients by walking the batch in chunks.
 Every FFT runs with ``workers=1``: parallelism comes from batch shards
@@ -36,7 +40,8 @@ transposed kernels are ``(C_in, C_out, kD, kH, kW)``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+import math
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -100,7 +105,7 @@ FFT_MIN_KERNEL_VOLUME = 48
 
 
 def _use_fft(kernel) -> bool:
-    return int(np.prod(kernel)) >= FFT_MIN_KERNEL_VOLUME
+    return math.prod(kernel) >= FFT_MIN_KERNEL_VOLUME
 
 
 def _pad5(x: np.ndarray, pads: _Pads) -> np.ndarray:
@@ -159,6 +164,34 @@ def _kernel_rfftn(w: np.ndarray, spatial: Tuple[int, ...], flip: bool) -> np.nda
     return engine.kernel_fft(root, (tuple(spatial), flip) + layout, build)
 
 
+def _contract_channels(fx: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """``Σ_c fx[n, c] · fw[o, c]`` per frequency bin, as ``(N, O, bins…)``.
+
+    One broadcast multiply-accumulate per input channel: a contraction of a
+    few channels is too small per bin for a matmul to pay.
+    """
+    product = fx[:, :1] * fw[:, 0]
+    term = np.empty_like(product)
+    for c in range(1, fx.shape[1]):
+        np.multiply(fx[:, c : c + 1], fw[:, c], out=term)
+        product += term
+    return product
+
+
+def _correlate_samples(fx: np.ndarray, fg: np.ndarray) -> np.ndarray:
+    """``Σ_n fx[n, c] · conj(fg[n, o])`` per frequency bin, as ``(O, C, bins…)``.
+
+    One broadcast multiply-accumulate per sample. Conjugates ``fg`` in place.
+    """
+    fg = np.conjugate(fg, out=fg)
+    corr = fg[0][:, None] * fx[0]
+    term = np.empty_like(corr)
+    for n in range(1, fx.shape[0]):
+        np.multiply(fg[n][:, None], fx[n], out=term)
+        corr += term
+    return corr
+
+
 def _conv3d_forward_fft(
     xp: np.ndarray, w: np.ndarray, stride, capture: Optional[dict] = None
 ) -> np.ndarray:
@@ -172,8 +205,9 @@ def _conv3d_forward_fft(
         capture["fx"] = fx
         capture["fx_spatial"] = spatial
     fw = _kernel_rfftn(w, spatial, flip=True)
-    product = engine.einsum("ncdhw,ocdhw->nodhw", fx, fw)
-    full = sfft.irfftn(product, s=spatial, axes=(2, 3, 4), workers=1)
+    full = sfft.irfftn(
+        _contract_channels(fx, fw), s=spatial, axes=(2, 3, 4), workers=1
+    )
     # The valid-correlation region of a circular convolution with
     # S = padded-input size starts at kernel−1 (wraparound only pollutes
     # indices below that).
@@ -217,25 +251,40 @@ def _conv3d_weight_grad_fft(
         fx = sfft.rfftn(xp, s=spatial, axes=(2, 3, 4), workers=1)
     fg = sfft.rfftn(gout, s=spatial, axes=(2, 3, 4), workers=1)
     corr = sfft.irfftn(
-        engine.einsum("ncdhw,nodhw->ocdhw", fx, np.conj(fg)),
-        s=spatial,
-        axes=(2, 3, 4),
-        workers=1,
+        _correlate_samples(fx, fg), s=spatial, axes=(2, 3, 4), workers=1
     )
     kd, kh, kw = kernel_size
     return np.ascontiguousarray(corr[:, :, :kd, :kh, :kw])
 
 
-def _tap_windows(kernel, stride, out_spatial) -> list:
-    """Per kernel tap (C order), the strided slice of the padded input that
-    the tap reads across all output positions."""
-    return [
-        (slice(None), slice(None)) + tuple(
-            slice(offset, offset + step * (size - 1) + 1, step)
-            for offset, step, size in zip(tap, stride, out_spatial)
+class _TapPlan(NamedTuple):
+    """The tap windows of one direct conv shape, with their counts.
+
+    ``windows[t]`` is, for kernel tap ``t`` (C order), the strided slice of
+    the padded input that the tap reads across all output positions.
+    """
+
+    windows: Tuple[Tuple[slice, ...], ...]
+    taps: int
+    out_spatial: Tuple[int, ...]
+    positions: int
+
+
+def _tap_plan(kernel, stride, out_spatial) -> _TapPlan:
+    """The (cached) tap plan of one ``(kernel, stride, out_spatial)``."""
+    kernel, stride, out_spatial = tuple(kernel), tuple(stride), tuple(out_spatial)
+
+    def build() -> _TapPlan:
+        windows = tuple(
+            (slice(None), slice(None)) + tuple(
+                slice(offset, offset + step * (size - 1) + 1, step)
+                for offset, step, size in zip(tap, stride, out_spatial)
+            )
+            for tap in np.ndindex(*kernel)
         )
-        for tap in np.ndindex(*kernel)
-    ]
+        return _TapPlan(windows, len(windows), out_spatial, math.prod(out_spatial))
+
+    return engine.plan(("conv_taps", kernel, stride, out_spatial), build)
 
 
 # The direct kernels walk the batch in chunks whose tap-expanded operand is
@@ -249,15 +298,13 @@ def _sample_chunks(batch: int, expanded_per_sample: int, itemsize: int) -> list:
     return [slice(start, start + step) for start in range(0, batch, step)]
 
 
-def _im2col(xp: np.ndarray, windows, out_spatial, out: Optional[np.ndarray] = None):
+def _im2col(xp: np.ndarray, plan: _TapPlan, out: Optional[np.ndarray] = None):
     """Channels-first columns ``(n, C·taps, positions)`` of a padded input."""
     batch, channels = xp.shape[:2]
     if out is None:
-        out = np.empty(
-            (batch, channels * len(windows), int(np.prod(out_spatial))), xp.dtype
-        )
-    planes = out.reshape((batch, channels, len(windows)) + tuple(out_spatial))
-    for tap, window in enumerate(windows):
+        out = np.empty((batch, channels * plan.taps, plan.positions), xp.dtype)
+    planes = out.reshape((batch, channels, plan.taps) + plan.out_spatial)
+    for tap, window in enumerate(plan.windows):
         planes[:, :, tap] = xp[window]
     return out
 
@@ -278,11 +325,11 @@ def _conv3d_forward_direct(
     out_spatial = tuple(
         (xp.shape[2 + i] - kernel[i]) // stride[i] + 1 for i in range(3)
     )
-    taps = int(np.prod(kernel))
-    windows = _tap_windows(kernel, stride, out_spatial)
+    plan = _tap_plan(kernel, stride, out_spatial)
+    taps, windows = plan.taps, plan.windows
     dtype = np.result_type(xp, w)
     if c_in <= c_out:
-        positions = int(np.prod(out_spatial))
+        positions = plan.positions
         out = np.empty((batch, c_out, positions), dtype)
         cols = None
         if capture is not None:
@@ -292,12 +339,10 @@ def _conv3d_forward_direct(
             )
         w_rows = w.reshape(c_out, -1)
         for chunk in _sample_chunks(batch, c_in * taps * positions, xp.itemsize):
-            block = _im2col(
-                xp[chunk], windows, out_spatial, None if cols is None else cols[chunk]
-            )
+            block = _im2col(xp[chunk], plan, None if cols is None else cols[chunk])
             np.matmul(w_rows, block, out=out[chunk])
         return out.reshape((batch, c_out) + out_spatial)
-    padded_positions = int(np.prod(xp.shape[2:]))
+    padded_positions = math.prod(xp.shape[2:])
     tap_weights = w.reshape(c_out, c_in, taps).transpose(2, 0, 1).reshape(-1, c_in)
     out = np.empty((batch, c_out) + out_spatial, dtype)
     for chunk in _sample_chunks(batch, taps * c_out * padded_positions, xp.itemsize):
@@ -326,19 +371,17 @@ def _col2im_input_grad(
     c_out, c_in = w.shape[:2]
     kernel = w.shape[2:]
     batch = gout.shape[0]
-    out_spatial = gout.shape[2:]
-    taps = int(np.prod(kernel))
-    windows = _tap_windows(kernel, stride, out_spatial)
+    plan = _tap_plan(kernel, stride, gout.shape[2:])
     padded = tuple(x_spatial[i] + pads[i][0] + pads[i][1] for i in range(3))
     grad = np.zeros((batch, c_in) + padded, np.result_type(gout, w))
     w_cols = w.reshape(c_out, -1).T
     flat = gout.reshape(batch, c_out, -1)
-    for chunk in _sample_chunks(batch, c_in * taps * flat.shape[2], grad.itemsize):
+    for chunk in _sample_chunks(batch, c_in * plan.taps * plan.positions, grad.itemsize):
         block = grad[chunk]
         planes = np.matmul(w_cols, flat[chunk]).reshape(
-            (-1, c_in, taps) + tuple(out_spatial)
+            (-1, c_in, plan.taps) + plan.out_spatial
         )
-        for tap, window in enumerate(windows):
+        for tap, window in enumerate(plan.windows):
             block[window] += planes[:, :, tap]
     return grad[(slice(None), slice(None)) + tuple(
         slice(pads[i][0], pads[i][0] + x_spatial[i]) for i in range(3)
@@ -395,11 +438,10 @@ def conv3d_weight_grad(
     if cols is not None:
         return _gemm_weight_grad(gout, cols).reshape(grad_shape)
     xp = _pad5(x, pads)
-    out_spatial = gout.shape[2:]
-    windows = _tap_windows(kernel_size, stride, out_spatial)
-    expanded = x.shape[1] * len(windows) * int(np.prod(out_spatial))
+    plan = _tap_plan(kernel_size, stride, gout.shape[2:])
+    expanded = x.shape[1] * plan.taps * plan.positions
     grad = sum(
-        _gemm_weight_grad(gout[chunk], _im2col(xp[chunk], windows, out_spatial))
+        _gemm_weight_grad(gout[chunk], _im2col(xp[chunk], plan))
         for chunk in _sample_chunks(x.shape[0], expanded, xp.itemsize)
     )
     return grad.reshape(grad_shape)

@@ -481,13 +481,3 @@ class Trainer:
                 losses.append(self._batch_loss(batch_x, batch_y, backward=False))
                 weights.append(len(batch_x))
         return float(np.average(losses, weights=weights))
-
-    def predict(self, inputs: np.ndarray, batch_size: Optional[int] = None) -> np.ndarray:
-        """Batched forward pass returning a numpy array."""
-        batch_size = batch_size or self.batch_size
-        outputs = []
-        with config.no_grad():
-            for start in range(0, len(inputs), batch_size):
-                batch = Tensor(inputs[start : start + batch_size])
-                outputs.append(self.model(batch).data)
-        return np.concatenate(outputs, axis=0)

@@ -39,6 +39,17 @@ CASES = [
 
 TOLERANCE = 1e-10
 
+# The float32 cases: the pyramid conv's 4→4 channels and 5×9×9 kernel with
+# its causal padding, at batch 1, 2 and 16, so the weight gradient's
+# per-sample accumulation runs for fewer and for more samples than there
+# are channels. Each float32 FFT result is held to the float64 direct path
+# within FLOAT32_ULPS float32 ulps (machine epsilon) of the output scale,
+# max |reference|; the bound was fixed before the first measurement.
+PYRAMID_W_SHAPE = (4, 4, 5, 9, 9)
+PYRAMID_PADS = ((4, 0), (4, 4), (4, 4))
+FLOAT32_BATCHES = (1, 2, 16)
+FLOAT32_ULPS = 32
+
 
 @pytest.fixture()
 def strategies(monkeypatch):
@@ -108,6 +119,51 @@ class TestPathEquivalence:
         )
         assert results["direct"].shape == x_shape
         assert _max_diff(results) <= TOLERANCE
+
+
+@pytest.mark.parametrize("batch", FLOAT32_BATCHES)
+class TestFloat32FFTContractions:
+    @staticmethod
+    def _case(batch, rng):
+        x = rng.standard_normal((batch, 4, 6, 8, 8)).astype(np.float32)
+        w = rng.standard_normal(PYRAMID_W_SHAPE).astype(np.float32)
+        gout = rng.standard_normal((batch, 4, 6, 8, 8)).astype(np.float32)
+        return x, w, gout
+
+    @staticmethod
+    def _assert_within_float32_ulps(result, reference):
+        assert result.dtype == np.float32
+        scale = float(np.max(np.abs(reference)))
+        error = float(np.max(np.abs(result.astype(np.float64) - reference)))
+        assert error <= FLOAT32_ULPS * np.finfo(np.float32).eps * scale
+
+    def test_forward(self, batch, rng, monkeypatch):
+        x, w, _ = self._case(batch, rng)
+        assert conv_module._use_fft(w.shape[2:])
+        result = conv3d_forward(x, w, (1, 1, 1), PYRAMID_PADS)
+        monkeypatch.setattr(conv_module, "_use_fft", lambda kernel: False)
+        reference = conv3d_forward(
+            x.astype(np.float64), w.astype(np.float64), (1, 1, 1), PYRAMID_PADS
+        )
+        self._assert_within_float32_ulps(result, reference)
+
+    def test_weight_grad(self, batch, rng, monkeypatch):
+        x, w, gout = self._case(batch, rng)
+        capture = {}
+        conv3d_forward(x, w, (1, 1, 1), PYRAMID_PADS, _capture=capture)
+        results = [
+            conv3d_weight_grad(x, gout, w.shape[2:], (1, 1, 1), PYRAMID_PADS),
+            conv3d_weight_grad(
+                x, gout, w.shape[2:], (1, 1, 1), PYRAMID_PADS, _captured=capture
+            ),
+        ]
+        monkeypatch.setattr(conv_module, "_use_fft", lambda kernel: False)
+        reference = conv3d_weight_grad(
+            x.astype(np.float64), gout.astype(np.float64), w.shape[2:],
+            (1, 1, 1), PYRAMID_PADS,
+        )
+        for result in results:
+            self._assert_within_float32_ulps(result, reference)
 
 
 class TestPathSelection:

@@ -7,6 +7,7 @@ import pytest
 from repro.core import BikeCAP, BikeCAPConfig
 from repro.nn import Tensor, Trainer, config, engine, ops
 from repro.nn.layers.base import Parameter
+from repro.nn.ops import conv as conv_module
 from repro.nn.optim import Adam
 from repro.obs import metrics as obs_metrics
 
@@ -24,51 +25,75 @@ def _counter_value(snapshot, name):
     )
 
 
+def _plan_traffic():
+    snapshot = obs_metrics.snapshot()
+    return (
+        _counter_value(snapshot, "engine_plan_cache_hits_total"),
+        _counter_value(snapshot, "engine_plan_cache_misses_total"),
+    )
+
+
 class TestPlanCache:
-    def test_hit_after_same_shape_miss_after_shape_change(self, rng):
-        a = rng.standard_normal((2, 3, 4))
-        b = rng.standard_normal((4, 5))
-        misses = _counter_value(obs_metrics.snapshot(), "engine_plan_cache_misses_total")
-        engine.einsum("nij,jk->nik", a, b)
-        hits = _counter_value(obs_metrics.snapshot(), "engine_plan_cache_hits_total")
-        engine.einsum("nij,jk->nik", a, b)
-        assert (
-            _counter_value(obs_metrics.snapshot(), "engine_plan_cache_hits_total")
-            == hits + 1
-        )
+    """The direct convs' tap windows, built once per (kernel, stride,
+    out_spatial) and held under the ``conv_taps`` kind."""
+
+    def test_hit_after_same_shape_miss_after_shape_change(self):
+        hits, misses = _plan_traffic()
+        first = conv_module._tap_plan((3, 3, 3), (1, 1, 1), (4, 5, 6))
+        assert _plan_traffic() == (hits, misses + 1)
+        assert conv_module._tap_plan((3, 3, 3), (1, 1, 1), (4, 5, 6)) is first
+        assert _plan_traffic() == (hits + 1, misses + 1)
         # A different signature must be planned afresh, not served from cache.
-        engine.einsum("nij,jk->nik", rng.standard_normal((3, 3, 4)), b)
-        assert (
-            _counter_value(obs_metrics.snapshot(), "engine_plan_cache_hits_total")
-            == hits + 1
-        )
-        assert (
-            _counter_value(obs_metrics.snapshot(), "engine_plan_cache_misses_total")
-            == misses + 2
-        )
+        conv_module._tap_plan((3, 3, 3), (1, 1, 1), (4, 5, 7))
+        assert _plan_traffic() == (hits + 1, misses + 2)
 
-    def test_dtype_is_part_of_the_signature(self, rng):
-        a = rng.standard_normal((2, 3, 4))
-        b = rng.standard_normal((4, 5))
-        engine.einsum("nij,jk->nik", a, b)
-        misses = _counter_value(obs_metrics.snapshot(), "engine_plan_cache_misses_total")
-        engine.einsum("nij,jk->nik", a.astype(np.float32), b.astype(np.float32))
-        assert (
-            _counter_value(obs_metrics.snapshot(), "engine_plan_cache_misses_total")
-            == misses + 1
-        )
+    def test_kernel_stride_and_output_shape_are_the_signature(self):
+        conv_module._tap_plan((3, 3, 3), (1, 1, 1), (4, 5, 6))
+        hits, misses = _plan_traffic()
+        for kernel, stride, out_spatial in [
+            ((1, 3, 3), (1, 1, 1), (4, 5, 6)),
+            ((3, 3, 3), (2, 1, 1), (4, 5, 6)),
+            ((3, 3, 3), (1, 1, 1), (4, 6, 5)),
+        ]:
+            conv_module._tap_plan(kernel, stride, out_spatial)
+        assert _plan_traffic() == (hits, misses + 3)
+        # Lists and numpy integers name the same signature as int tuples.
+        conv_module._tap_plan([3, 3, 3], [1, 1, 1], tuple(np.array([4, 5, 6])))
+        assert _plan_traffic() == (hits + 1, misses + 3)
 
-    def test_einsum_matches_numpy_and_caches_path(self, rng):
-        a = rng.standard_normal((3, 4, 5))
-        b = rng.standard_normal((3, 5, 6))
-        expected = np.einsum("bij,bjk->bik", a, b)
-        assert np.allclose(engine.einsum("bij,bjk->bik", a, b), expected)
-        before = _counter_value(obs_metrics.snapshot(), "engine_plan_cache_hits_total")
-        assert np.allclose(engine.einsum("bij,bjk->bik", a, b), expected)
-        assert (
-            _counter_value(obs_metrics.snapshot(), "engine_plan_cache_hits_total")
-            == before + 1
-        )
+    def test_windows_read_each_tap_over_every_output_position(self, rng):
+        kernel, stride, out_spatial = (2, 3, 2), (1, 2, 3), (3, 2, 4)
+        plan = conv_module._tap_plan(kernel, stride, out_spatial)
+        assert plan.taps == len(plan.windows) == 12
+        assert plan.positions == 24
+        assert plan.out_spatial == out_spatial
+        xp = rng.standard_normal((2, 3, 4, 7, 12))
+        for window, tap in zip(plan.windows, np.ndindex(*kernel)):
+            expected = xp[:, :, tap[0]::1, tap[1]::2, tap[2]::3][:, :, :3, :2, :4]
+            assert np.array_equal(xp[window], expected)
+
+    def test_direct_convs_look_up_conv_taps_and_fft_convs_do_not(self, rng):
+        def conv_taps_lookups():
+            snapshot = obs_metrics.snapshot()
+            return _counter_value(
+                snapshot, "engine_plan_cache_hits_total{kind=conv_taps}"
+            ) + _counter_value(snapshot, "engine_plan_cache_misses_total{kind=conv_taps}")
+
+        x = Tensor(rng.standard_normal((1, 2, 5, 6, 6)))
+        before = conv_taps_lookups()
+        ops.conv3d(x, Tensor(rng.standard_normal((2, 2, 3, 3, 3))), padding=1)
+        assert conv_taps_lookups() == before + 1
+        ops.conv3d(x, Tensor(rng.standard_normal((2, 2, 4, 4, 4))))  # FFT
+        assert conv_taps_lookups() == before + 1
+
+    def test_plans_stay_active_under_no_cache_and_clear_drops_them(self):
+        first = conv_module._tap_plan((3, 3, 3), (1, 1, 1), (4, 5, 6))
+        with engine.no_cache():
+            assert conv_module._tap_plan((3, 3, 3), (1, 1, 1), (4, 5, 6)) is first
+        assert engine.plan_cache_stats()["entries"]["plans"] == 1
+        engine.clear_caches()
+        assert engine.plan_cache_stats()["entries"]["plans"] == 0
+        assert conv_module._tap_plan((3, 3, 3), (1, 1, 1), (4, 5, 6)) is not first
 
 
 class TestWarmup:
@@ -99,15 +124,15 @@ class TestWarmup:
             decoder_hidden=4, seed=0,
         ))
         engine.clear_caches()
+        _, misses_cold = _plan_traffic()
         engine.warmup(model.predict, (4, 4, 4, 3), batch_sizes=(2,))
-        misses_before = _counter_value(
-            obs_metrics.snapshot(), "engine_plan_cache_misses_total"
-        )
+        hits_before, misses_before = _plan_traffic()
+        # The warm-up itself built plans; otherwise nothing below is tested.
+        assert misses_before > misses_cold
         model.predict(np.zeros((2, 4, 4, 4, 3), dtype=config.dtype()))
-        misses_after = _counter_value(
-            obs_metrics.snapshot(), "engine_plan_cache_misses_total"
-        )
+        hits_after, misses_after = _plan_traffic()
         assert misses_after == misses_before
+        assert hits_after > hits_before
 
     def test_rejects_nonpositive_batch(self):
         with pytest.raises(ValueError, match=">= 1"):

@@ -4,13 +4,12 @@ The fused kernels are pure executors: every one must produce outputs *and*
 gradients that are bit-identical (``np.array_equal``, no tolerance) to the
 unfused autograd graph it replaces, in float64 and in float32, the default.
 The unfused reference is the same code run under ``engine.no_cache()``.
-Two facts make this a real constraint rather than a formality:
-
-- gradient accumulation into a tensor with 3+ consumers is association-
-  sensitive, so a fused node must occupy the same topological position as
-  the subgraph it replaces (parent ordering is load-bearing);
-- numpy's pairwise reductions depend on operand memory layout, so the
-  fused routing loop must execute the reference statements verbatim.
+Gradient accumulation into a tensor with 3+ consumers is association-
+sensitive, so a fused node must occupy the same topological position as
+the subgraph it replaces (parent ordering is load-bearing): that makes this
+a real constraint rather than a formality. The routing case pins the
+routing tail kernel; the detached routing iterations are one plain numpy
+loop, the same code on both sides.
 
 ``engine.no_cache()`` must bypass the fusion cache along with the plan
 cache: the finite-difference gradcheck perturbs ``tensor.data`` in place,

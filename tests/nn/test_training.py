@@ -61,14 +61,6 @@ class TestTrainer:
         final_val = trainer.evaluate(x[48:], y[48:])
         assert final_val <= min(history.val_loss) + 1e-6
 
-    def test_predict_matches_forward(self, rng):
-        x, _ = self._linear_data(rng, n=10)
-        model = Linear(3, 1, rng=0)
-        trainer = Trainer(model, seed=0)
-        predictions = trainer.predict(x, batch_size=4)
-        expected = model(Tensor(x)).data
-        assert np.allclose(predictions, expected)
-
     def test_history_as_dict(self, rng):
         x, y = self._linear_data(rng, n=32)
         trainer = Trainer(Linear(3, 1, rng=0), seed=0)
